@@ -74,8 +74,10 @@ ThreadScaling scaleConfig(const std::string& name,
 
   // Best-of-reps wall time per width (the usual benchmarking guard
   // against scheduler noise), and the fastest eager run's per-task
-  // profile for the simulation: the 4-thread run evaluates every task,
-  // so each entry of taskSeconds carries a wall time.
+  // profile for the simulation: the 4-thread run evaluates every task
+  // replay reads, so those entries of taskSeconds carry a wall time; a
+  // task it skipped (behind a variable's first unsafe pair) costs
+  // nothing and carries 0.
   std::vector<std::vector<double>> regionTasks;
   double profileCost = 0.0;
   for (int threads : kThreads) {

@@ -113,6 +113,12 @@ long long KernelAnalysis::tasksPersisted() const {
   return n;
 }
 
+long long KernelAnalysis::tasksSkipped() const {
+  long long n = 0;
+  for (const auto& r : regions) n += r.tasksSkipped;
+  return n;
+}
+
 long long KernelAnalysis::freshSolverChecks() const {
   long long n = 0;
   for (const auto& r : regions) n += r.freshSolverChecks;
@@ -317,7 +323,7 @@ std::string describeCache(const KernelAnalysis& analysis) {
   for (const auto& r : analysis.regions) {
     os << "region #" << idx++ << " cache: tasks " << r.tasksSpliced
        << " spliced + " << r.tasksJoined << " joined + " << r.tasksPersisted
-       << " persisted; fresh checks "
+       << " persisted + " << r.tasksSkipped << " skipped; fresh checks "
        << r.freshSolverChecks << " (" << r.freshTier2Solves
        << " tier-2 solves); hits memory " << r.cacheMemoryHits << " ["
        << r.cacheMemoryHitTiers[0] << '/' << r.cacheMemoryHitTiers[1] << '/'

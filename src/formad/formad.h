@@ -51,11 +51,13 @@ struct KernelAnalysis {
   [[nodiscard]] long long degradedPairs() const;
 
   // Aggregate cross-run persistent-cache diagnostics over all regions. All
-  // zero without an attached store; never rendered by describe() (see
+  // but tasksSkipped (which counts tasks replay never reads) are zero
+  // without an attached store; never rendered by describe() (see
   // describeCache below).
   [[nodiscard]] long long tasksSpliced() const;
   [[nodiscard]] long long tasksJoined() const;
   [[nodiscard]] long long tasksPersisted() const;
+  [[nodiscard]] long long tasksSkipped() const;
   [[nodiscard]] long long freshSolverChecks() const;
   [[nodiscard]] long long freshTier2Solves() const;
   [[nodiscard]] long long cacheMemoryHits() const;

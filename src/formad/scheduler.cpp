@@ -12,6 +12,7 @@
 #include "smt/diskcache.h"
 #include "smt/fingerprint.h"
 #include "support/cancel.h"
+#include "support/diagnostics.h"
 #include "support/pool.h"
 
 namespace formad::core {
@@ -155,6 +156,9 @@ void QueryScheduler::plan() {
     current = saved;
   };
   dfs(model_.contexts.root());
+  taskSteps_.assign(tasks_.size(), {});
+  for (size_t pos = 0; pos < schedule_.size(); ++pos)
+    taskSteps_[static_cast<size_t>(schedule_[pos].taskIndex)].push_back(pos);
 
   // Content-addressed task keys for the persistent store: kind tag, the
   // canonical (sorted) base-conjunction key, then the probe keys IN ORDER
@@ -266,8 +270,9 @@ void QueryScheduler::switchBase(smt::Solver& solver, int& cur,
   std::vector<int> path;
   for (int id = target; id != a; id = parent(id)) path.push_back(id);
   for (auto it = path.rbegin(); it != path.rend(); ++it) {
+    const BaseNode& n = bases_[static_cast<size_t>(*it)];
     solver.push();
-    solver.add(bases_[static_cast<size_t>(*it)].delta);
+    solver.add(n.delta, n.deltaKey);
     cur = *it;
   }
 }
@@ -296,9 +301,9 @@ QueryResult QueryScheduler::evaluate(smt::Solver& solver, int& cur,
   } else {
     // The serial walk checks the flattened offsets first, then — under the
     // in-bounds assumption — each dimension, stopping at the first Unsat.
-    for (const auto& probe : task.probes) {
+    for (size_t k = 0; k < task.probes.size(); ++k) {
       solver.push();
-      solver.add(probe);
+      solver.add(task.probes[k], task.probeKeys[k]);
       bool unsat = solver.check() == CheckResult::Unsat;
       recordCheck();
       solver.pop();
@@ -502,8 +507,8 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   smt::VerdictCache cache;
   cache.attachStore(store);
   std::vector<QueryResult> results(tasks_.size());
-  std::vector<char> spliced(tasks_.size(), 0);
   long long splicedCount = 0;
+  long long skippedCount = 0;
   RegionVerdict verdict;
   double replaySeconds = 0.0;
 
@@ -513,11 +518,11 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   // it — the steady-state warm run does no solver work at all. Replay
   // consumes spliced and fresh results identically (both are pure
   // functions of conjunction + budget), keeping the report byte-identical
-  // to a cold run at any width. The eager parallel path splices every
-  // planned task up front; the lazy serial path splices on demand (replay
-  // skips whole variables once one pair proves unsafe, and a task that is
-  // never demanded is never evaluated or persisted, so looking it up
-  // every run would be a guaranteed store miss).
+  // to a cold run at any width. A run persists only the tasks it
+  // evaluates, and neither path evaluates a task replay provably skips,
+  // so both probe the store only for tasks replay may read: the lazy
+  // serial path on demand, the eager parallel path in one pass along the
+  // schedule (below). Probing any other task would be a guaranteed miss.
   auto adoptRecord = [&](size_t i,
                          smt::PersistentVerdictStore::TaskRecord&& rec) {
     QueryResult& r = results[i];
@@ -535,7 +540,6 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
                                tasks_[i].digest);
     if (!rec) return;
     adoptRecord(i, std::move(*rec));
-    spliced[i] = 1;
     ++splicedCount;
   };
 
@@ -584,19 +588,73 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   };
 
   if (width > 1 && tasks_.size() > 1) {
-    // Eager speculative evaluation over prefix-sharing batches: tasks are
+    // Early-exit-aware speculation. Replay reads a task only at a step it
+    // reaches with the step's variable still safe (the per-variable early
+    // exit, paper Sec. 7.5) and before any knowledge contradiction. Every
+    // outcome is a pure function of its conjunction, so each evaluated or
+    // spliced one is a fact about replay: an unsafe pair makes every
+    // variable it is asked under unsafe from that step on, and an Unsat
+    // consistency check ends replay at its step. A task all of whose steps
+    // lie past such a point is never read, so it is skipped instead of
+    // evaluated. Which tasks get skipped depends on timing, but replay
+    // reads none of them at any timing, so every verdict and counter stays
+    // byte-identical. Under siteVerdicts replay has no per-variable exit,
+    // so only contradictions skip.
+    constexpr size_t kNever = SIZE_MAX;
+    std::vector<std::atomic<size_t>> unsafeFrom(model_.questions.size());
+    for (auto& u : unsafeFrom) u = kNever;
+    std::atomic<size_t> stopAt{kNever};
+    auto lower = [](std::atomic<size_t>& a, size_t pos) {
+      size_t cur = a.load();
+      while (pos < cur && !a.compare_exchange_weak(cur, pos)) {
+      }
+    };
+    auto learn = [&](size_t i) {
+      const QueryResult& r = results[i];
+      if (!r.evaluated) return;
+      if (tasks_[i].kind == QueryTask::Kind::Consistency) {
+        if (r.unsat) lower(stopAt, taskSteps_[i].front());
+      } else if (!r.pairSafe && !opts_.siteVerdicts) {
+        for (size_t pos : taskSteps_[i])
+          lower(unsafeFrom[schedule_[pos].varIndex], pos);
+      }
+    };
+    // True iff replay provably passes step `pos` without reading its task.
+    auto stepDead = [&](size_t pos) {
+      if (pos > stopAt.load()) return true;
+      const Step& s = schedule_[pos];
+      return s.op == Step::Op::Question && pos > unsafeFrom[s.varIndex].load();
+    };
+
+    // Splice along the schedule, learning from each record as it lands:
+    // the probes then follow replay's own path, so a warm run of an
+    // unchanged kernel probes only tasks replay reads — each persisted by
+    // whichever earlier run evaluated it.
+    if (store != nullptr) {
+      std::vector<char> probed(tasks_.size(), 0);
+      for (size_t pos = 0; pos < schedule_.size(); ++pos) {
+        const auto i = static_cast<size_t>(schedule_[pos].taskIndex);
+        if (probed[i] != 0 || stepDead(pos)) continue;
+        probed[i] = 1;
+        spliceTask(i);
+        learn(i);
+      }
+    }
+
+    // Speculative evaluation over prefix-sharing batches: tasks are
     // grouped into contiguous runs of the canonical plan order (the DFS
     // emits tasks of one context consecutively, so a batch's tasks share
     // long base prefixes), and each worker walks between bases with
     // incremental push/pop on its thread-confined solver instead of
     // rebuilding the stack per task. All workers share the concurrent
     // verdict cache. Several batches per worker keep the pool's dynamic
-    // self-scheduling effective on uneven batch costs.
-    for (size_t i = 0; i < tasks_.size(); ++i) spliceTask(i);
+    // self-scheduling effective on uneven batch costs, and let outcomes of
+    // the batches that run first skip tasks of the ones that run later.
     const size_t nBatches =
         std::min(tasks_.size(), static_cast<size_t>(width) * 8);
     std::vector<std::unique_ptr<smt::Solver>> solvers;
     std::vector<int> atBase(static_cast<size_t>(width), -1);
+    std::vector<char> skipped(tasks_.size(), 0);
     solvers.reserve(static_cast<size_t>(width));
     for (int w = 0; w < width; ++w) {
       solvers.push_back(std::make_unique<smt::Solver>(*model_.atoms));
@@ -616,6 +674,11 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
           for (size_t i = lo; i < hi; ++i) {
             if (results[i].evaluated) continue;  // spliced from the store
             if (cancel != nullptr && cancel->cancelled()) return;
+            if (std::all_of(taskSteps_[i].begin(), taskSteps_[i].end(),
+                            stepDead)) {
+              skipped[i] = 1;
+              continue;
+            }
             try {
               claimEvaluate(solver, atBase[static_cast<size_t>(w)], i);
             } catch (const support::Cancelled&) {
@@ -628,19 +691,17 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
               results[i] = QueryResult{};
               return;
             }
+            learn(i);
           }
         },
         cancel);
     auto tReplay = std::chrono::steady_clock::now();
-    // replay() rebuilds the verdict value; keep the cache diagnostics
-    // accumulated so far and restore them after.
-    const RegionVerdict diag = verdict;
     verdict = replay([&](int i) -> const QueryResult& {
+      FORMAD_ASSERT(skipped[static_cast<size_t>(i)] == 0,
+                    "replay read a task the eager path skipped");
       return results[static_cast<size_t>(i)];
     });
-    verdict.tasksSpliced = splicedCount;
-    verdict.tasksJoined = joinedCount.load(std::memory_order_relaxed);
-    verdict.tasksPersisted = persistedCount.load(std::memory_order_relaxed);
+    skippedCount = std::count(skipped.begin(), skipped.end(), 1);
     replaySeconds = secondsSince(tReplay);
     verdict.threadsUsed = width;
     for (const auto& s : solvers) addSolverStats(*s);
@@ -660,8 +721,9 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     int atBase = -1;
     double evalSeconds = 0.0;
     bool abandoned = false;  // solver stack desynced by a mid-check cancel
-    const RegionVerdict diag = verdict;
+    std::vector<char> demanded(tasks_.size(), 0);
     verdict = replay([&](int i) -> const QueryResult& {
+      demanded[static_cast<size_t>(i)] = 1;
       QueryResult& r = results[static_cast<size_t>(i)];
       if (!r.evaluated) spliceTask(static_cast<size_t>(i));
       if (!r.evaluated && !abandoned &&
@@ -676,14 +738,16 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
       }
       return r;
     });
-    verdict.tasksSpliced = splicedCount;
-    verdict.tasksJoined = joinedCount.load(std::memory_order_relaxed);
-    verdict.tasksPersisted = persistedCount.load(std::memory_order_relaxed);
+    skippedCount = std::count(demanded.begin(), demanded.end(), 0);
     replaySeconds = secondsSince(t0) - evalSeconds;
     verdict.threadsUsed = 1;
     addSolverStats(solver);
   }
 
+  verdict.tasksSpliced = splicedCount;
+  verdict.tasksJoined = joinedCount.load(std::memory_order_relaxed);
+  verdict.tasksPersisted = persistedCount.load(std::memory_order_relaxed);
+  verdict.tasksSkipped = skippedCount;
   const smt::VerdictCache::CacheStats cs = cache.cacheStats();
   verdict.cacheMemoryHits = cs.memoryHits;
   verdict.cacheDiskHits = cs.diskHits;

@@ -22,11 +22,18 @@
 //                contiguous prefix-sharing batches of the canonical plan
 //                order: a worker walks from one task's base to the next by
 //                popping to their common ancestor and pushing the delta
-//                (incremental push/pop), instead of reset-per-task. With
-//                one worker, evaluation is instead lazy — tasks run on
-//                demand during replay over one persistent incremental
-//                trail, which reproduces the serial walk's exact work
-//                profile.
+//                (incremental push/pop, handing over the constraint keys
+//                the plan already derived), instead of reset-per-task.
+//                Speculation is early-exit-aware: each outcome known so
+//                far (evaluated, or spliced from a store) marks the steps
+//                replay will pass without reading — those behind a
+//                variable's first unsafe pair, or behind a knowledge
+//                contradiction — and a task whose steps are all such is
+//                skipped, not evaluated. With one worker, evaluation is
+//                instead lazy — tasks run on demand during replay over one
+//                persistent incremental trail, which reproduces the serial
+//                walk's exact work profile; the eager path matches that
+//                profile whenever tasks complete in plan order.
 //   3. replay  — re-walk the canonical serial schedule consuming task
 //                results, reconstructing the verdicts, the per-var early
 //                exits, the pair cache hits, the query/solver-cache-hit
@@ -70,8 +77,8 @@ struct QueryTask {
   /// dimension rule).
   std::vector<smt::Constraint> probes;
   /// Content fingerprint of each probe (smt/fingerprint.h), parallel to
-  /// `probes` — derived once at plan time and reused by replay accounting
-  /// and the persistent-store key.
+  /// `probes` — derived once at plan time and reused by the worker
+  /// solvers' stack keys, replay accounting and the persistent-store key.
   std::vector<std::string> probeKeys;
   /// Content-addressed key of the whole task for the persistent store:
   /// kind tag + canonical base-conjunction key + ordered probe keys.
@@ -119,8 +126,9 @@ class QueryScheduler {
 
   /// Evaluates the plan and replays the canonical schedule. `pool` may be
   /// null (serial). The returned verdict is bit-identical regardless of
-  /// pool width; only analysisSeconds/planSeconds/taskSeconds/threadsUsed
-  /// (wall-clock observables) vary. `cancel`, when non-null, is the
+  /// pool width; only wall-clock observables (analysisSeconds, planSeconds,
+  /// taskSeconds, threadsUsed) and work diagnostics (which tasks were
+  /// skipped, fresh solver work) vary. `cancel`, when non-null, is the
   /// region's cooperative cancellation token: tasks it stops before they
   /// evaluate degrade to unsafe pairs in replay (which pairs depends on
   /// timing — cancellation trades reproducibility for liveness).
@@ -136,6 +144,7 @@ class QueryScheduler {
     int parent = -1;
     smt::Constraint delta;
     std::string deltaKey;  // content key of delta, derived once at plan
+                           // and handed to every solver that pushes it
     size_t depth = 0;      // constraints on the root-to-node path
     /// Order-independent 128-bit content signature of the root-to-node
     /// conjunction: the two seeded per-part FNV hashes SUMMED along the
@@ -180,6 +189,10 @@ class QueryScheduler {
   std::vector<BaseNode> bases_;
   std::vector<QueryTask> tasks_;
   std::vector<Step> schedule_;
+  /// Schedule positions of the steps that consume each task, ascending:
+  /// one for a Consistency task; one or more for a Pair task, whose pair
+  /// key may recur (also under other variables).
+  std::vector<std::vector<size_t>> taskSteps_;
   double planSeconds_ = 0.0;
 };
 

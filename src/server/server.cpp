@@ -269,6 +269,7 @@ JsonValue AnalysisServer::handleAnalyze(const Request& req,
   cache.set("tasks_spliced", JsonValue::integer(analysis.tasksSpliced()));
   cache.set("tasks_joined", JsonValue::integer(analysis.tasksJoined()));
   cache.set("tasks_persisted", JsonValue::integer(analysis.tasksPersisted()));
+  cache.set("tasks_skipped", JsonValue::integer(analysis.tasksSkipped()));
   cache.set("fresh_solver_checks",
             JsonValue::integer(analysis.freshSolverChecks()));
   cache.set("fresh_tier2_solves",

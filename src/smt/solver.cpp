@@ -154,7 +154,8 @@ void Solver::attachCache(VerdictCache* cache) {
 
 void Solver::reset() {
   stack_.clear();
-  keys_.clear();
+  sortedKeys_.clear();
+  keySlots_.clear();
   marks_.clear();
   owner_ = std::thread::id{};
 }
@@ -172,7 +173,16 @@ void Solver::requireOwner() {
 
 void Solver::add(Constraint c) {
   requireOwner();
-  keys_.push_back(fp_.constraintKey(c));
+  std::string key = fp_.constraintKey(c);
+  add(std::move(c), std::move(key));
+}
+
+void Solver::add(Constraint c, std::string key) {
+  requireOwner();
+  const auto at =
+      std::upper_bound(sortedKeys_.begin(), sortedKeys_.end(), key);
+  keySlots_.push_back(static_cast<size_t>(at - sortedKeys_.begin()));
+  sortedKeys_.insert(at, std::move(key));
   stack_.push_back(std::move(c));
   ++stats_.assertionsAdded;
 }
@@ -187,18 +197,24 @@ void Solver::pop() {
   if (marks_.empty())
     fail("Solver::pop without matching push (assertion stack has " +
          std::to_string(stack_.size()) + " assertions and no open scope)");
-  stack_.resize(marks_.back());
-  keys_.resize(marks_.back());
+  const size_t mark = marks_.back();
+  // Newest first, so each recorded slot is valid when its key is erased.
+  for (size_t k = stack_.size(); k-- > mark;)
+    sortedKeys_.erase(sortedKeys_.begin() +
+                      static_cast<std::ptrdiff_t>(keySlots_[k]));
+  keySlots_.resize(mark);
+  stack_.resize(mark);
   marks_.pop_back();
 }
 
 std::string Solver::stackKey() const {
-  // A conjunction is order-independent; sorting makes stacks that assert
-  // the same constraints in different orders share a cache entry. The
-  // per-constraint keys were derived once at add() time.
-  std::vector<std::string> parts = keys_;
-  std::sort(parts.begin(), parts.end());
+  // A conjunction is order-independent; the sorted order makes stacks that
+  // assert the same constraints in different orders share a cache entry.
+  // The per-constraint keys were derived and placed once at add() time.
+  size_t bytes = 32;  // room for the salt prefix
+  for (const auto& p : sortedKeys_) bytes += p.size() + 1;
   std::string key;
+  key.reserve(bytes);
   if (hints_ != nullptr && hints_->salt != 0) {
     // Verdicts carry the decision tier, and the available deciders differ
     // under -absint — prefixing the fact-bundle salt keeps the two key
@@ -208,7 +224,7 @@ std::string Solver::stackKey() const {
                   static_cast<unsigned long long>(hints_->salt));
     key += buf;
   }
-  for (const auto& p : parts) {
+  for (const auto& p : sortedKeys_) {
     key += p;
     key += ';';
   }
@@ -286,11 +302,8 @@ CheckResult Solver::check() {
                         lastBudgetExhausted_ ? stepLimit_ : lastSteps_};
   if (it != verdictCache_.end()) {
     // Insufficient entry found above: upgrade under the same policy as
-    // VerdictCache::store (complete beats exhausted; a larger exhaustion
-    // limit beats a smaller one).
-    if ((e.complete && !it->second.complete) ||
-        (!e.complete && !it->second.complete && e.steps > it->second.steps))
-      it->second = e;
+    // VerdictCache::store.
+    if (upgrades(e, it->second)) it->second = e;
   } else {
     verdictCache_.emplace(std::move(key), e);
   }

@@ -228,6 +228,10 @@ class Solver {
   explicit Solver(AtomTable& atoms) : atoms_(atoms) {}
 
   void add(Constraint c);
+  /// add() with the constraint's content key already derived by the
+  /// caller: `key` must equal constraintKey(c). Lets a planner that keyed
+  /// its constraints once hand them to many solvers without re-keying.
+  void add(Constraint c, std::string key);
   void push();
   /// Drops the assertions added since the matching push(). Calling pop on
   /// an empty mark stack throws formad::Error (it would otherwise corrupt
@@ -370,9 +374,11 @@ class Solver {
   }
 
   /// Canonical fingerprint of the current conjunction: per-constraint keys,
-  /// sorted (a conjunction is order-independent) and joined. Covers the
-  /// whole live stack including open push/pop scopes, so cached verdicts
-  /// can never leak across scopes.
+  /// sorted (a conjunction is order-independent) and joined — byte-equal
+  /// to conjunctionKey() of the live keys, behind the absint salt prefix.
+  /// Covers the whole live stack including open push/pop scopes, so
+  /// cached verdicts can never leak across scopes. The keys are kept
+  /// sorted as constraints come and go, so this only concatenates.
   [[nodiscard]] std::string stackKey() const;
 
  private:
@@ -394,10 +400,16 @@ class Solver {
   /// with the solver; survives reset() like the memo it carries.
   Fingerprinter fp_{atoms_};
   std::vector<Constraint> stack_;
-  /// constraintKey of each stack_ entry, maintained by add/pop/reset so
-  /// stackKey() never re-derives expression keys (the schedulers re-check
-  /// under long-lived incremental stacks, where re-keying dominated).
-  std::vector<std::string> keys_;
+  /// constraintKey of every stack_ entry, kept in sorted order by
+  /// add/pop/reset so stackKey() neither re-derives nor re-sorts keys (the
+  /// schedulers re-check under long-lived incremental stacks, where both
+  /// dominated).
+  std::vector<std::string> sortedKeys_;
+  /// Per stack_ entry, the sortedKeys_ index its key was inserted at. The
+  /// stack is LIFO: when an entry is popped, every later one is already
+  /// gone, so sortedKeys_ is exactly as the insertion left it and erasing
+  /// at the recorded index undoes it.
+  std::vector<size_t> keySlots_;
   std::vector<size_t> marks_;
   std::map<std::string, VerdictCache::Entry> verdictCache_;
   VerdictCache* sharedCache_ = nullptr;

@@ -12,6 +12,7 @@
 #include "driver/driver.h"
 #include "formad/formad.h"
 #include "helpers.h"
+#include "kernels/gfmc.h"
 #include "kernels/stencil.h"
 #include "smt/diskcache.h"
 
@@ -118,37 +119,66 @@ TEST(PersistentCache, BudgetStarvedEntriesNeverPoisonUnlimitedRuns) {
   EXPECT_EQ(warm2.analysis.freshSolverChecks(), 0);
 }
 
+long long plannedTasks(const core::KernelAnalysis& a) {
+  long long n = 0;
+  for (const auto& r : a.regions)
+    n += static_cast<long long>(r.taskSeconds.size());
+  return n;
+}
+
 // Steady state: an unchanged kernel re-analyzed over a populated store is
 // served ENTIRELY by task splicing — zero solver checks (not even
 // cache-hit ones), zero tier-2 solves, nothing new persisted.
-TEST(PersistentCache, WarmRunDoesZeroFreshWork) {
-  const auto spec = kernels::stencilSpec(4);
+void expectWarmRunDoesZeroFreshWork(const kernels::KernelSpec& spec,
+                                    int threads) {
+  SCOPED_TRACE(spec.name + " at " + std::to_string(threads) + " threads");
   TempDir dir("warm");
   smt::PersistentVerdictStore store(dir.path.string());
 
   driver::DriverOptions opts;
   opts.verdictStore = &store;
+  opts.analysisThreads = threads;
   const auto cold = analyzeSource(spec.source, spec.independents,
                                   spec.dependents, opts);
   EXPECT_GT(cold.analysis.tasksPersisted(), 0);
+  const auto coldStats = store.stats();
 
   const auto warm = analyzeSource(spec.source, spec.independents,
                                   spec.dependents, opts);
   EXPECT_EQ(warm.analysis.freshSolverChecks(), 0);
   EXPECT_EQ(warm.analysis.freshTier2Solves(), 0);
   EXPECT_EQ(warm.analysis.tasksPersisted(), 0);
-  // Every warm task splices. On the cold run each task either persisted a
-  // fresh record, spliced one an earlier region of the same run persisted,
-  // or joined a concurrent in-flight evaluation — the three are exhaustive,
-  // so the totals must balance exactly.
-  EXPECT_EQ(warm.analysis.tasksSpliced(),
-            cold.analysis.tasksPersisted() + cold.analysis.tasksSpliced() +
-                cold.analysis.tasksJoined());
+  EXPECT_EQ(warm.analysis.tasksJoined(), 0);
+  // On each run every planned task either persisted a fresh record,
+  // spliced one (an earlier run's, or an earlier region's of the same
+  // run), joined a concurrent in-flight evaluation, or was skipped because
+  // replay never reads it — the four are exhaustive, so the totals must
+  // balance exactly.
+  const long long planned = plannedTasks(cold.analysis);
+  EXPECT_GT(planned, 0);
+  EXPECT_EQ(cold.analysis.tasksSpliced() + cold.analysis.tasksJoined() +
+                cold.analysis.tasksPersisted() + cold.analysis.tasksSkipped(),
+            planned);
+  EXPECT_EQ(warm.analysis.tasksSpliced() + warm.analysis.tasksSkipped(),
+            planned);
   EXPECT_EQ(reportOf(warm), reportOf(cold));
 
+  // The warm run probes only records the cold run stored: every task
+  // lookup hits.
   const auto s = store.stats();
   EXPECT_EQ(s.taskStores, cold.analysis.tasksPersisted());
-  EXPECT_GE(s.taskHits, warm.analysis.tasksSpliced());
+  EXPECT_EQ(s.taskMisses, coldStats.taskMisses);
+  EXPECT_GE(s.taskHits - coldStats.taskHits, warm.analysis.tasksSpliced());
+}
+
+TEST(PersistentCache, WarmRunDoesZeroFreshWork) {
+  // The stencil at the auto width: every variable is SAFE, so nothing is
+  // skipped and the warm run splices every planned task.
+  expectWarmRunDoesZeroFreshWork(kernels::stencilSpec(4), 0);
+  // GFMC* at width 4: cr stays guarded, so the eager path skips tasks
+  // behind its first unsafe pair — on real threads, a timing-dependent
+  // set on the cold run.
+  expectWarmRunDoesZeroFreshWork(kernels::gfmcFusedSpec(), 4);
 }
 
 // Without a store the analysis must be byte-identical to the seed

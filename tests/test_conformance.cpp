@@ -20,8 +20,11 @@
 #include "formad/formad.h"
 #include "helpers.h"
 #include "kernels/data.h"
+#include "kernels/gfmc.h"
+#include "kernels/lbm.h"
 #include "kernels/mutants.h"
 #include "racecheck/racecheck.h"
+#include "support/pool.h"
 
 namespace formad::testing {
 namespace {
@@ -105,6 +108,61 @@ TEST(Conformance, GreenGauss) {
 
 TEST(Conformance, IndirectGather) {
   expectThreadInvariant(indirectHarness(64, 7).spec);
+}
+
+// --- early-exit-aware speculation ---
+//
+// A width-4 pool that runs every task in index order on the calling thread
+// drives the eager (parallel) scheduler path with fully ordered timing: by
+// the time a task is claimed, every outcome before it is known. The eager
+// path must then skip exactly the tasks the lazy serial walk never
+// evaluates, so the fresh solver work matches the width-1 run check for
+// check — on the kernels where per-variable early exits matter (LBM's
+// srcgrid and GFMC*'s cr stay guarded) and on a racy mutant whose
+// knowledge contradiction ends replay early.
+
+class InOrderPool final : public support::TaskPool {
+ public:
+  [[nodiscard]] int width() const override { return 4; }
+  void run(size_t n, const std::function<void(size_t, int)>& fn,
+           support::CancelToken* /*cancel*/) override {
+    for (size_t i = 0; i < n; ++i) fn(i, static_cast<int>(i % 4));
+  }
+  [[nodiscard]] size_t lastRunSkipped() const override { return 0; }
+};
+
+void expectEagerWorkMatchesSerial(const kernels::KernelSpec& spec) {
+  auto primal = parser::parseKernel(spec.source);
+  driver::DriverOptions serialOpts;
+  serialOpts.analysisThreads = 1;
+  const auto serial = driver::analyze(*primal, spec.independents,
+                                      spec.dependents, serialOpts);
+  InOrderPool pool;
+  driver::DriverOptions eagerOpts;
+  eagerOpts.analysisPool = &pool;
+  const auto eager = driver::analyze(*primal, spec.independents,
+                                     spec.dependents, eagerOpts);
+  ASSERT_EQ(eager.regions.front().threadsUsed, 4) << spec.name;
+  EXPECT_EQ(core::describe(eager, false) + core::describeTiers(eager),
+            core::describe(serial, false) + core::describeTiers(serial))
+      << spec.name;
+  EXPECT_EQ(eager.freshSolverChecks(), serial.freshSolverChecks())
+      << spec.name;
+  EXPECT_EQ(eager.freshTier2Solves(), serial.freshTier2Solves()) << spec.name;
+  EXPECT_EQ(eager.tasksSkipped(), serial.tasksSkipped()) << spec.name;
+  EXPECT_GT(eager.tasksSkipped(), 0) << spec.name;
+}
+
+TEST(Conformance, EagerPathSkipsWhatSerialNeverEvaluatesOnLbm) {
+  expectEagerWorkMatchesSerial(kernels::lbmSpec());
+}
+
+TEST(Conformance, EagerPathSkipsWhatSerialNeverEvaluatesOnGfmcFused) {
+  expectEagerWorkMatchesSerial(kernels::gfmcFusedSpec());
+}
+
+TEST(Conformance, EagerPathSkipsWhatSerialNeverEvaluatesOnGatherRacy) {
+  expectEagerWorkMatchesSerial(kernels::gatherRacySpec());
 }
 
 // --- fast-path conformance: -fastpath must be invisible in the report ---

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <random>
 #include <thread>
 #include <vector>
@@ -792,6 +793,75 @@ TEST_F(SolverTest, StackKeyIsOrderIndependent) {
   b.add(Constraint::le(LinExpr::atom(ci), LinExpr(Rational(8))));
   b.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
   EXPECT_EQ(a.stackKey(), b.stackKey());
+}
+
+// The solver keeps its constraint keys sorted as constraints come and go
+// instead of re-sorting them per check. Random add/push/pop/reset
+// sequences — drawing from a small pool so duplicates are frequent, mixing
+// pre-keyed and self-keyed adds, and attaching an absint salt part way —
+// must keep stackKey() byte-equal to the from-scratch conjunctionKey of the
+// live keys after every step.
+TEST(SolverStackKey, IncrementalKeyMatchesConjunctionKey) {
+  AtomTable atoms;
+  std::vector<AtomId> vars;
+  for (int v = 0; v < 4; ++v)
+    vars.push_back(atoms.internVar("v", v, v % 2 == 1));
+  vars.push_back(atoms.internUF("c", {LinExpr::atom(vars[0])}));
+  std::vector<Constraint> pool;
+  for (AtomId a : vars)
+    for (AtomId b : vars) {
+      if (a == b) continue;
+      pool.push_back(Constraint::ne(LinExpr::atom(a), LinExpr::atom(b)));
+      pool.push_back(Constraint::eq(LinExpr::atom(a),
+                                    LinExpr::atom(b) + LinExpr(Rational(1))));
+    }
+  pool.push_back(Constraint::le(LinExpr::atom(vars[4]), LinExpr(Rational(8))));
+
+  Fingerprinter fp(atoms);
+  AbsintHints hints;
+  hints.salt = 0x0123456789abcdefULL;
+  std::mt19937 rng(1234);
+  for (int round = 0; round < 6; ++round) {
+    Solver solver(atoms);
+    const int saltAt = round % 2 == 1 ? static_cast<int>(rng() % 300) : -1;
+    std::vector<std::string> live;
+    std::vector<size_t> marks;
+    for (int step = 0; step < 300; ++step) {
+      if (step == saltAt) solver.setAbsintHints(&hints);
+      const unsigned op = rng() % 16;
+      if (op < 8) {
+        const Constraint& c = pool[rng() % pool.size()];
+        std::string key = fp.constraintKey(c);
+        if (op % 2 == 0)
+          solver.add(c);
+        else
+          solver.add(c, key);
+        live.push_back(std::move(key));
+      } else if (op < 11) {
+        solver.push();
+        marks.push_back(live.size());
+      } else if (op < 15) {
+        if (marks.empty()) continue;
+        solver.pop();
+        live.resize(marks.back());
+        marks.pop_back();
+      } else {
+        solver.reset();
+        live.clear();
+        marks.clear();
+      }
+      std::string want = conjunctionKey(live);
+      if (solver.absintHints() != nullptr) {
+        char prefix[32];
+        std::snprintf(prefix, sizeof(prefix), "absint:%016llx;",
+                      static_cast<unsigned long long>(hints.salt));
+        want.insert(0, prefix);
+      }
+      ASSERT_EQ(solver.stackKey(), want) << "round " << round << " step "
+                                         << step;
+      ASSERT_EQ(solver.assertionCount(), live.size());
+    }
+  }
 }
 
 // A VerdictCache is bound to the AtomTable of the first solver that
