@@ -128,7 +128,9 @@ void writeBenchFile(const std::string& name, const Json& body) {
   // v3: tier-count objects gain absint_facts, and the table1/ablation
   // files gain absint on/off rows plus tier2_killed_by_absint counters.
   // Again purely additive: v2 consumers ignore the new keys.
-  root.set("schema_version", Json::integer(3));
+  // v4: cache objects drop memory_hits/disk_hits/disk_stores; store-level
+  // IO counts are PersistentVerdictStore::Stats (BENCH_serve.json).
+  root.set("schema_version", Json::integer(4));
   for (const auto& [k, v] : body.members()) root.set(k, v);
   const std::string file = "BENCH_" + name + ".json";
   std::ofstream out(file);
@@ -153,9 +155,6 @@ Json cacheCountsJson(const core::KernelAnalysis& a) {
   c.set("tasks_persisted", Json::integer(a.tasksPersisted()));
   c.set("fresh_solver_checks", Json::integer(a.freshSolverChecks()));
   c.set("fresh_tier2_solves", Json::integer(a.freshTier2Solves()));
-  c.set("memory_hits", Json::integer(a.cacheMemoryHits()));
-  c.set("disk_hits", Json::integer(a.cacheDiskHits()));
-  c.set("disk_stores", Json::integer(a.cacheDiskStores()));
   const long long tasks = a.tasksSpliced() + a.tasksPersisted();
   c.set("task_hit_rate", Json::num(tasks > 0 ? static_cast<double>(
                                                    a.tasksSpliced()) /

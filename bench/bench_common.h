@@ -75,9 +75,9 @@ void writeBenchFile(const std::string& name, const Json& body);
 /// absint_facts is 0 unless the analysis ran with model.absint on).
 [[nodiscard]] Json tierCountsJson(const core::KernelAnalysis& a);
 
-/// The persistent-cache object of the incremental benches (schema v2):
-/// spliced/persisted task counts, fresh solver work, memory/disk IO
-/// counters, and the task-level hit rate (0.0 when no store was attached).
+/// The verdict-store object of the incremental benches: spliced/persisted
+/// task counts, fresh solver work, and the task-level hit rate (0.0 when no
+/// store was attached).
 [[nodiscard]] Json cacheCountsJson(const core::KernelAnalysis& a);
 
 struct FigureSetup {

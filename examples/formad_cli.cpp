@@ -320,8 +320,9 @@ int main(int argc, char** argv) {
 
     const ir::Kernel& primal = program.get(head);
 
-    // The CLI owns the persistent store (rather than handing the driver a
-    // cacheDir) so -cache-stats can read the IO counters afterwards.
+    // The CLI owns the verdict store so -cache-stats can read its IO
+    // counters afterwards. Without -cache-dir there is none: every check
+    // is decided.
     std::unique_ptr<smt::PersistentVerdictStore> store;
     if (!cacheDir.empty())
       store = std::make_unique<smt::PersistentVerdictStore>(cacheDir);

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <memory>
 
-#include "smt/diskcache.h"
 #include "support/pool.h"
 
 namespace formad::driver {
@@ -28,21 +27,6 @@ smt::FaultInject* envFaultInjection() {
     return fault.unknownAtCheck > 0 || fault.throwAtCheck > 0;
   }();
   return configured ? &fault : nullptr;
-}
-
-/// Resolves the persistent verdict store of a driver call: a caller-owned
-/// store wins, else cacheDir opens one owned by `owned` for the call's
-/// duration. Fault injection disables the store outright — injected
-/// verdicts are not pure functions of their query, so neither serving nor
-/// persisting them would be sound.
-smt::PersistentVerdictStore* resolveStore(
-    const DriverOptions& dopts, smt::FaultInject* fault,
-    std::unique_ptr<smt::PersistentVerdictStore>& owned) {
-  if (fault != nullptr) return nullptr;
-  if (dopts.verdictStore != nullptr) return dopts.verdictStore;
-  if (dopts.cacheDir.empty()) return nullptr;
-  owned = std::make_unique<smt::PersistentVerdictStore>(dopts.cacheDir);
-  return owned.get();
 }
 
 }  // namespace
@@ -124,8 +108,6 @@ DifferentiateResult differentiate(const Kernel& primal,
 
   smt::FaultInject* fault =
       dopts.faultInject != nullptr ? dopts.faultInject : envFaultInjection();
-  std::unique_ptr<smt::PersistentVerdictStore> ownedStore;
-  smt::PersistentVerdictStore* store = resolveStore(dopts, fault, ownedStore);
 
   if (dopts.racecheckPrimal) {
     racecheck::RaceCheckOptions ropts = dopts.racecheck;
@@ -134,7 +116,7 @@ DifferentiateResult differentiate(const Kernel& primal,
     ropts.solverSteps = dopts.solverStepBudget;
     ropts.deadlineMs = dopts.analysisDeadlineMs;
     ropts.faultInject = fault;
-    ropts.store = store;
+    ropts.store = dopts.verdictStore;
     result.raceReport = racecheck::checkKernelRaces(primal, ropts);
     long long rcExhausted = 0, rcDegraded = 0;
     for (const auto& region : result.raceReport.regions) {
@@ -196,7 +178,7 @@ DifferentiateResult differentiate(const Kernel& primal,
       aopts.exploit.solverSteps = dopts.solverStepBudget;
       aopts.exploit.deadlineMs = dopts.analysisDeadlineMs;
       aopts.exploit.faultInject = fault;
-      aopts.exploit.store = store;
+      aopts.exploit.store = dopts.verdictStore;
       // Hybrid consumes per-(var, access-site) verdicts, so replay must
       // answer every pair instead of taking the per-variable early exit.
       aopts.exploit.siteVerdicts = dopts.mode == AdjointMode::Hybrid;
@@ -290,8 +272,7 @@ core::KernelAnalysis analyze(const Kernel& primal,
   smt::FaultInject* fault =
       opts.faultInject != nullptr ? opts.faultInject : envFaultInjection();
   aopts.exploit.faultInject = fault;
-  std::unique_ptr<smt::PersistentVerdictStore> ownedStore;
-  aopts.exploit.store = resolveStore(opts, fault, ownedStore);
+  aopts.exploit.store = opts.verdictStore;
   aopts.model.absint = opts.absint;
   aopts.model.paramValues = opts.racecheck.paramValues;
   std::unique_ptr<support::WorkPool> pool;

@@ -76,19 +76,14 @@ struct DriverOptions {
   /// and FORMAD_FAULT_THROW_AT (1-based process-wide check ordinals) are
   /// consulted instead; both unset = off.
   smt::FaultInject* faultInject = nullptr;
-  /// Directory of the cross-run persistent verdict cache ("" = off). The
-  /// driver opens a store on it for the duration of the call and shares it
-  /// between FormAD exploitation and the race checker. Serving is
-  /// verdict-neutral (entries carry their full content key plus budget
+  /// Caller-owned verdict store (nullptr = none: every check is decided
+  /// afresh), shared between FormAD exploitation and the race checker —
+  /// memory-only, or persistent across runs over a directory. Serving is
+  /// verdict-neutral (records carry their full content key plus budget
   /// provenance), so every report and the generated adjoint are
-  /// byte-identical with or without it — only wall time and the cache
-  /// counters change. Created if missing; an uncreatable path throws
-  /// formad::Error. Ignored while fault injection is active (injected
+  /// byte-identical with or without it — only wall time and the store
+  /// counters change. Ignored while fault injection is active (injected
   /// verdicts are not pure functions of their query).
-  std::string cacheDir;
-  /// Caller-owned persistent store; wins over cacheDir when non-null (lets
-  /// the CLI and benches keep one store across driver calls and read its
-  /// IO stats afterwards). Same neutrality and fault-injection rules.
   smt::PersistentVerdictStore* verdictStore = nullptr;
   /// Caller-owned analysis worker pool; wins over analysisThreads when
   /// non-null (lets a long-running process — the serving daemon — reuse

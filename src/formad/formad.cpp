@@ -131,24 +131,6 @@ long long KernelAnalysis::freshTier2Solves() const {
   return n;
 }
 
-long long KernelAnalysis::cacheMemoryHits() const {
-  long long n = 0;
-  for (const auto& r : regions) n += r.cacheMemoryHits;
-  return n;
-}
-
-long long KernelAnalysis::cacheDiskHits() const {
-  long long n = 0;
-  for (const auto& r : regions) n += r.cacheDiskHits;
-  return n;
-}
-
-long long KernelAnalysis::cacheDiskStores() const {
-  long long n = 0;
-  for (const auto& r : regions) n += r.cacheDiskStores;
-  return n;
-}
-
 KernelAnalysis analyzeKernel(const Kernel& kernel,
                              const std::vector<std::string>& independents,
                              const std::vector<std::string>& dependents,
@@ -325,12 +307,7 @@ std::string describeCache(const KernelAnalysis& analysis) {
        << " spliced + " << r.tasksJoined << " joined + " << r.tasksPersisted
        << " persisted + " << r.tasksSkipped << " skipped; fresh checks "
        << r.freshSolverChecks << " (" << r.freshTier2Solves
-       << " tier-2 solves); hits memory " << r.cacheMemoryHits << " ["
-       << r.cacheMemoryHitTiers[0] << '/' << r.cacheMemoryHitTiers[1] << '/'
-       << r.cacheMemoryHitTiers[2] << "] + disk " << r.cacheDiskHits << " ["
-       << r.cacheDiskHitTiers[0] << '/' << r.cacheDiskHitTiers[1] << '/'
-       << r.cacheDiskHitTiers[2] << "]; disk stores " << r.cacheDiskStores
-       << "\n";
+       << " tier-2 solves)\n";
   }
   return os.str();
 }

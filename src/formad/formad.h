@@ -50,19 +50,15 @@ struct KernelAnalysis {
   [[nodiscard]] long long budgetExhaustedChecks() const;
   [[nodiscard]] long long degradedPairs() const;
 
-  // Aggregate cross-run persistent-cache diagnostics over all regions. All
-  // but tasksSkipped (which counts tasks replay never reads) are zero
-  // without an attached store; never rendered by describe() (see
-  // describeCache below).
+  // Aggregate verdict-store diagnostics over all regions. The spliced,
+  // joined and persisted counts are zero without an attached store; never
+  // rendered by describe() (see describeCache below).
   [[nodiscard]] long long tasksSpliced() const;
   [[nodiscard]] long long tasksJoined() const;
   [[nodiscard]] long long tasksPersisted() const;
   [[nodiscard]] long long tasksSkipped() const;
   [[nodiscard]] long long freshSolverChecks() const;
   [[nodiscard]] long long freshTier2Solves() const;
-  [[nodiscard]] long long cacheMemoryHits() const;
-  [[nodiscard]] long long cacheDiskHits() const;
-  [[nodiscard]] long long cacheDiskStores() const;
 };
 
 /// Runs knowledge extraction + exploitation on every parallel loop of the
@@ -103,12 +99,12 @@ struct KernelAnalysis {
 /// classic report stays byte-compatible with the pre-tier analyzer.
 [[nodiscard]] std::string describeTiers(const KernelAnalysis& analysis);
 
-/// Per-region persistent-cache breakdown, one line per region (stable
-/// format, golden-testable): spliced/persisted task counts, fresh solver
-/// work, and memory/disk hit counters with per-tier splits. Kept separate
-/// from describe() so classic reports stay byte-identical whether or not a
-/// cache directory is configured (cache serving is verdict-neutral; only
-/// these IO observables differ between cold and warm runs).
+/// Per-region verdict-store breakdown, one line per region (stable
+/// format, golden-testable): spliced/joined/persisted/skipped task counts
+/// and fresh solver work. Kept separate from describe() so classic
+/// reports stay byte-identical whether or not a store is attached (serving
+/// is verdict-neutral; only these observables differ between cold and
+/// warm runs). Store-level IO counts live in PersistentVerdictStore::Stats.
 [[nodiscard]] std::string describeCache(const KernelAnalysis& analysis);
 
 }  // namespace formad::core

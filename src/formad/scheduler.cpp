@@ -204,11 +204,15 @@ void QueryScheduler::plan() {
       h ^= v;
       return h * 0x100000001b3ULL;
     };
-    // Absint hints change tier attribution (t1-absint) without changing
-    // the conjunction, and records store tiers — so runs with different
-    // hint sets must never share task records. Mix the facts digest into
-    // the fingerprint and both hash lanes; salt 0 (absint off) leaves the
-    // seed bytes and digests untouched.
+    // The fast-path mode and absint hints change tier attribution without
+    // changing the conjunction, and records store tiers — so runs under
+    // different modes or hint sets must never share task records. Mix the
+    // mode (unless Full) and the facts digest (unless absint is off) into
+    // the fingerprint and both hash lanes; the defaults leave the seed
+    // bytes and digests untouched, so existing stores stay warm.
+    std::string modeTag;
+    if (opts_.fastpath != smt::FastPathMode::Full)
+      modeTag = "fastpath:" + smt::to_string(opts_.fastpath) + "|";
     const std::uint64_t salt = model_.hints.salt;
     char saltTag[32] = {0};
     if (salt != 0)
@@ -218,10 +222,11 @@ void QueryScheduler::plan() {
       const BaseNode& bn = bases_[static_cast<size_t>(t.baseId)];
       const std::string& baseKey = baseKeyMemo(t.baseId);
       const bool cons = t.kind == QueryTask::Kind::Consistency;
-      size_t len = 2 + baseKey.size();
+      size_t len = 2 + modeTag.size() + sizeof(saltTag) + baseKey.size();
       for (const auto& pk : t.probeKeys) len += 1 + pk.size();
       t.fingerprint.assign(cons ? "C|" : "P|");
       t.fingerprint.reserve(len);
+      t.fingerprint += modeTag;
       t.fingerprint += saltTag;
       t.fingerprint += baseKey;
       // File digest from the node's order-independent content sums plus
@@ -232,6 +237,10 @@ void QueryScheduler::plan() {
           mix(smt::fnv1a64(cons ? "C" : "P", smt::kDigestSeed2), bn.sum1);
       h0 = mix(h0, bn.depth);
       h1 = mix(h1, bn.depth);
+      if (!modeTag.empty()) {
+        h0 = mix(h0, smt::fnv1a64(modeTag));
+        h1 = mix(h1, smt::fnv1a64(modeTag, smt::kDigestSeed2));
+      }
       if (salt != 0) {
         h0 = mix(h0, salt);
         h1 = mix(h1, salt);
@@ -504,8 +513,6 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   smt::PersistentVerdictStore* store =
       opts_.faultInject == nullptr ? opts_.store : nullptr;
 
-  smt::VerdictCache cache;
-  cache.attachStore(store);
   std::vector<QueryResult> results(tasks_.size());
   long long splicedCount = 0;
   long long skippedCount = 0;
@@ -544,7 +551,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   };
 
   // Gathers per-solver stats into the verdict's fresh-work diagnostics
-  // (fresh = not served by any cache layer; tier-2 fresh = full solves).
+  // (fresh = not served by the store; tier-2 fresh = full solves).
   auto addSolverStats = [&](const smt::Solver& s) {
     const auto& st = s.stats();
     verdict.freshSolverChecks += st.checks - st.cacheHits;
@@ -646,8 +653,8 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     // emits tasks of one context consecutively, so a batch's tasks share
     // long base prefixes), and each worker walks between bases with
     // incremental push/pop on its thread-confined solver instead of
-    // rebuilding the stack per task. All workers share the concurrent
-    // verdict cache. Several batches per worker keep the pool's dynamic
+    // rebuilding the stack per task. All workers share the verdict store,
+    // if any. Several batches per worker keep the pool's dynamic
     // self-scheduling effective on uneven batch costs, and let outcomes of
     // the batches that run first skip tasks of the ones that run later.
     const size_t nBatches =
@@ -658,7 +665,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     solvers.reserve(static_cast<size_t>(width));
     for (int w = 0; w < width; ++w) {
       solvers.push_back(std::make_unique<smt::Solver>(*model_.atoms));
-      solvers.back()->attachCache(&cache);
+      solvers.back()->attachStore(store);
       solvers.back()->setFastPathMode(opts_.fastpath);
       solvers.back()->setStepBudget(opts_.solverSteps);
       solvers.back()->setCancelToken(cancel);
@@ -712,7 +719,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     // the serial walk's exact work profile — skipped tasks are never
     // evaluated.
     smt::Solver solver(*model_.atoms);
-    solver.attachCache(&cache);
+    solver.attachStore(store);
     solver.setFastPathMode(opts_.fastpath);
     solver.setStepBudget(opts_.solverSteps);
     solver.setCancelToken(cancel);
@@ -748,12 +755,6 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   verdict.tasksJoined = joinedCount.load(std::memory_order_relaxed);
   verdict.tasksPersisted = persistedCount.load(std::memory_order_relaxed);
   verdict.tasksSkipped = skippedCount;
-  const smt::VerdictCache::CacheStats cs = cache.cacheStats();
-  verdict.cacheMemoryHits = cs.memoryHits;
-  verdict.cacheDiskHits = cs.diskHits;
-  verdict.cacheDiskStores = cs.diskStores;
-  verdict.cacheMemoryHitTiers = cs.memoryHitTiers;
-  verdict.cacheDiskHitTiers = cs.diskHitTiers;
 
   verdict.taskSeconds.reserve(results.size());
   for (const auto& r : results) verdict.taskSeconds.push_back(r.seconds);

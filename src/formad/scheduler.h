@@ -17,8 +17,9 @@
 //                consecutive tasks share long context prefixes by
 //                construction.
 //   2. evaluate — run the tasks speculatively across the worker pool, one
-//                thread-confined smt::Solver per worker, all sharing one
-//                concurrent VerdictCache. Tasks are grouped into
+//                thread-confined smt::Solver per worker, all caching
+//                through the verdict store when one is attached (without
+//                one, every check is decided). Tasks are grouped into
 //                contiguous prefix-sharing batches of the canonical plan
 //                order: a worker walks from one task's base to the next by
 //                popping to their common ancestor and pushing the delta
@@ -112,7 +113,7 @@ struct QueryResult {
   std::vector<char> exhausted;
   /// Parallel to tiers: deterministic step provenance of each check (steps
   /// a complete verdict consumed, or the limit an exhausted one ran out
-  /// at). Persisted with the task so VerdictCache::sufficientFor can
+  /// at). Persisted with the task so VerdictRecord::sufficientFor can
   /// govern whether a later run may splice the record.
   std::vector<long long> stepsUsed;
   double seconds = 0.0;  // wall time of this task (scaling diagnostics)

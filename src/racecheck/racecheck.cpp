@@ -142,21 +142,16 @@ class RegionChecker {
     }
     solver_.setCancelToken(cancel);
 
-    // Region verdict cache, shared by every solver that evaluates converse
-    // queries. With a persistent store attached (and fault injection off —
-    // injected verdicts are not pure functions of their conjunction), the
-    // cache reads check records persisted by earlier runs — the same
-    // content-addressed records the exploitation phase uses — and writes
-    // fresh ones through. Serving is verdict-neutral, so reports stay
-    // byte-identical; only wall time changes.
-    smt::VerdictCache cache;
+    // The verdict store, if any, is shared by every solver that evaluates
+    // converse queries (unless fault injection is on — injected verdicts
+    // are not pure functions of their conjunction): they read check
+    // records earlier runs stored — the same content-addressed records the
+    // exploitation phase uses — and store fresh ones. Serving is
+    // verdict-neutral, so reports stay byte-identical; only wall time
+    // changes.
     smt::PersistentVerdictStore* store =
         opts_.faultInject == nullptr ? opts_.store : nullptr;
-    cache.attachStore(store);
-    // The serial path historically solves on the region solver's private
-    // map; attach the shared cache only when a store makes it worthwhile,
-    // keeping the default path untouched.
-    if (store != nullptr) solver_.attachCache(&cache);
+    solver_.attachStore(store);
 
     // Serial front half: lowering, substitution, and pair enumeration all
     // intern atoms and fill memo tables, so they stay on this thread. The
@@ -179,7 +174,7 @@ class RegionChecker {
       std::vector<char> seeded(static_cast<size_t>(width), 0);
       for (int w = 0; w < width; ++w) {
         solvers.push_back(std::make_unique<smt::Solver>(atoms_));
-        solvers.back()->attachCache(&cache);
+        solvers.back()->attachStore(store);
         solvers.back()->setFastPathMode(opts_.fastpath);
         solvers.back()->setStepBudget(opts_.solverSteps);
         solvers.back()->setCancelToken(cancel);
@@ -231,10 +226,6 @@ class RegionChecker {
     report_.analysisSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    const smt::VerdictCache::CacheStats cs = cache.cacheStats();
-    report_.cacheMemoryHits = cs.memoryHits;
-    report_.cacheDiskHits = cs.diskHits;
-    report_.cacheDiskStores = cs.diskStores;
     return std::move(report_);
   }
 

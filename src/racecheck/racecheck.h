@@ -103,7 +103,7 @@ struct RegionRaceReport {
   int pairsAssumed = 0;  // discharged by a declared coloring fact
   int queries = 0;       // solver check() calls issued
   /// Decision-tier breakdown of the queries (0/1 fast path, 2 full solve;
-  /// cache-served checks count under the tier that first decided them).
+  /// store-served checks count under the tier that first decided them).
   /// queries == tier0Hits + tier1Hits + tier2Checks, at any pool width.
   long long tier0Hits = 0;
   long long tier1Hits = 0;
@@ -116,12 +116,6 @@ struct RegionRaceReport {
   /// cancellation — rather than by the structure of the query.
   long long degradedPairs = 0;
   double analysisSeconds = 0;
-
-  // Cross-run persistent-cache diagnostics (IO observables; never printed
-  // by describe(), surfaced via the CLI's -cache-stats).
-  long long cacheMemoryHits = 0;
-  long long cacheDiskHits = 0;
-  long long cacheDiskStores = 0;
 };
 
 /// Verdicts for every parallel region of a kernel.
@@ -169,10 +163,10 @@ struct RaceCheckOptions {
   /// Deterministic fault-injection harness for tests and the CI smoke job
   /// (nullptr = off; see smt::FaultInject).
   smt::FaultInject* faultInject = nullptr;
-  /// Optional cross-run persistent verdict store shared with the FormAD
-  /// exploitation phase (the converse queries reuse the same
-  /// content-addressed check records). Verdict-neutral: persisted entries
-  /// are pure functions of conjunction + budget, so reports stay
+  /// Optional verdict store shared with the FormAD exploitation phase (the
+  /// converse queries reuse the same content-addressed check records);
+  /// without one, every query is decided afresh. Verdict-neutral: stored
+  /// records are pure functions of conjunction + budget, so reports stay
   /// byte-identical. Ignored while faultInject is set.
   smt::PersistentVerdictStore* store = nullptr;
 };

@@ -68,8 +68,7 @@ AnalysisServer::AnalysisServer(const ServeOptions& opts) : opts_(opts) {
       opts_.sessions, opts_.analysisThreads, opts_.allowOversubscribe);
   poolWorkers_ = plan.poolWorkers;
   sizingWarning_ = plan.warning;
-  store_ = std::make_unique<smt::PersistentVerdictStore>(opts_.cacheDir,
-                                                         /*memoryLayer=*/true);
+  store_ = std::make_unique<smt::PersistentVerdictStore>(opts_.cacheDir);
   if (poolWorkers_ > 0)
     pool_ = std::make_unique<support::SharedAnalysisPool>(poolWorkers_);
   maxQueue_ = static_cast<size_t>(opts_.sessions) * 64;
@@ -238,8 +237,8 @@ JsonValue AnalysisServer::handleAnalyze(const Request& req,
     fault.throwAtCheck = o.faultThrowAt;
     d.faultInject = &fault;
   }
-  // The driver's resolveStore drops the store while fault injection is
-  // active, keeping injected verdicts out of the shared store.
+  // The scheduler and the race checker drop the store while fault
+  // injection is active, keeping injected verdicts out of the shared store.
   d.verdictStore = store_.get();
 
   core::KernelAnalysis analysis =
@@ -355,7 +354,6 @@ JsonValue AnalysisServer::handleStats(const Request& req) {
   resp.set("analysis_threads",
            JsonValue::integer(pool_ != nullptr ? poolWorkers_ + 1 : 1));
   resp.set("cache_dir", JsonValue::str(opts_.cacheDir));
-  resp.set("memory_layer", JsonValue::boolean(store_->memoryLayerEnabled()));
   JsonValue ops = JsonValue::object();
   ops.set("analyze",
           JsonValue::integer(nAnalyze_.load(std::memory_order_relaxed)));

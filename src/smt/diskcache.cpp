@@ -1,5 +1,6 @@
 #include "smt/diskcache.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -34,40 +35,122 @@ std::optional<CheckResult> parseVerdict(const std::string& tag) {
   return std::nullopt;
 }
 
+/// A task record replays the probe walk re-derivation under `stepLimit`
+/// would produce only if EVERY recorded check passes the guard; then
+/// induction over the probe sequence gives the same walk, same stopping
+/// point, same verdict.
+bool sufficientFor(const PersistentVerdictStore::TaskRecord& rec,
+                   long long stepLimit) {
+  for (size_t i = 0; i < rec.tiers.size(); ++i)
+    if (!VerdictRecord{CheckResult::Unknown, rec.tiers[i],
+                       rec.exhausted[i] == 0, rec.steps[i]}
+             .sufficientFor(stepLimit))
+      return false;
+  return true;
+}
+
+bool sufficientFor(const VerdictRecord& e, long long stepLimit) {
+  return e.sufficientFor(stepLimit);
+}
+
+/// The budget provenance of a whole task record as one VerdictRecord, so
+/// both record kinds share VerdictRecord::upgrades: complete when every
+/// check is, needing its costliest check's steps; otherwise exhausted at
+/// its smallest exhaustion limit, which bounds every budget it serves.
+VerdictRecord provenance(const PersistentVerdictStore::TaskRecord& rec) {
+  VerdictRecord p;
+  for (size_t i = 0; i < rec.tiers.size(); ++i) {
+    if (rec.exhausted[i] != 0) {
+      if (p.complete || rec.steps[i] < p.steps) p.steps = rec.steps[i];
+      p.complete = false;
+    } else if (p.complete) {
+      p.steps = std::max(p.steps, rec.steps[i]);
+    }
+  }
+  return p;
+}
+
+const VerdictRecord& provenance(const VerdictRecord& e) { return e; }
+
+std::string render(const VerdictRecord& e) {
+  std::string payload = "verdict ";
+  payload += verdictTag(e.result);
+  payload += ' ';
+  payload += std::to_string(e.tier);
+  payload += e.complete ? " 1 " : " 0 ";
+  payload += std::to_string(e.steps);
+  payload += '\n';
+  return payload;
+}
+
+std::string render(const PersistentVerdictStore::TaskRecord& rec) {
+  std::string payload = "task ";
+  payload += rec.unsat ? "1 " : "0 ";
+  payload += rec.pairSafe ? "1 " : "0 ";
+  payload += std::to_string(rec.tiers.size());
+  payload += '\n';
+  for (size_t i = 0; i < rec.tiers.size(); ++i) {
+    payload += "c ";
+    payload += std::to_string(rec.tiers[i]);
+    payload += rec.exhausted[i] != 0 ? " 1 " : " 0 ";
+    payload += std::to_string(rec.steps[i]);
+    payload += '\n';
+  }
+  return payload;
+}
+
+bool parse(const std::vector<std::string>& payload, VerdictRecord& e) {
+  if (payload.size() != 1) return false;
+  std::istringstream is(payload[0]);
+  std::string tag, verdict;
+  int complete = -1;
+  if (!(is >> tag >> verdict >> e.tier >> complete >> e.steps) ||
+      tag != "verdict" || (complete != 0 && complete != 1) || e.tier < 0 ||
+      e.tier > 2)
+    return false;
+  const auto r = parseVerdict(verdict);
+  if (!r) return false;
+  e.result = *r;
+  e.complete = complete != 0;
+  return true;
+}
+
+bool parse(const std::vector<std::string>& payload,
+           PersistentVerdictStore::TaskRecord& rec) {
+  if (payload.empty()) return false;
+  std::istringstream head(payload[0]);
+  std::string tag;
+  int unsat = -1, pairSafe = -1;
+  size_t nChecks = 0;
+  if (!(head >> tag >> unsat >> pairSafe >> nChecks) || tag != "task" ||
+      (unsat != 0 && unsat != 1) || (pairSafe != 0 && pairSafe != 1) ||
+      payload.size() != nChecks + 1)
+    return false;
+  rec.unsat = unsat != 0;
+  rec.pairSafe = pairSafe != 0;
+  for (size_t i = 1; i <= nChecks; ++i) {
+    std::istringstream is(payload[i]);
+    int tier = -1, exhausted = -1;
+    long long steps = 0;
+    if (!(is >> tag >> tier >> exhausted >> steps) || tag != "c" ||
+        tier < 0 || tier > 2 || (exhausted != 0 && exhausted != 1))
+      return false;
+    rec.tiers.push_back(tier);
+    rec.exhausted.push_back(static_cast<char>(exhausted));
+    rec.steps.push_back(steps);
+  }
+  return true;
+}
+
 }  // namespace
 
-PersistentVerdictStore::PersistentVerdictStore(std::string dir,
-                                               bool memoryLayer)
-    : dir_(std::move(dir)), memoryLayer_(memoryLayer) {
-  if (dir_.empty()) {
-    if (!memoryLayer_)
-      fail("a verdict store needs a directory, a memory layer, or both");
-    return;  // memory-only store: no filesystem involvement at all
-  }
+PersistentVerdictStore::PersistentVerdictStore(std::string dir)
+    : dir_(std::move(dir)) {
+  if (dir_.empty()) return;  // memory-only: no filesystem involvement
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec || !fs::is_directory(dir_, ec))
     fail("cache directory '" + dir_ + "' cannot be created: " + ec.message());
-}
-
-PersistentVerdictStore::MemShard& PersistentVerdictStore::shardFor(
-    const std::string& key) {
-  return memShards_[fnv1a64(key) % kMemShards];
-}
-
-void PersistentVerdictStore::memoizeCheck(const std::string& key,
-                                          const VerdictCache::Entry& e) {
-  MemShard& shard = shardFor(key);
-  std::lock_guard<std::mutex> lk(shard.mu);
-  auto [it, inserted] = shard.checks.emplace(key, e);
-  if (inserted) return;
-  // Upgrade rule mirrors VerdictCache::store: a complete verdict beats an
-  // exhausted one, and among exhausted ones the larger limit wins (it
-  // serves every budget the smaller one could).
-  const VerdictCache::Entry& cur = it->second;
-  const bool upgrade = (e.complete && !cur.complete) ||
-                       (!e.complete && !cur.complete && e.steps > cur.steps);
-  if (upgrade) it->second = e;
 }
 
 std::string PersistentVerdictStore::pathFor(
@@ -117,18 +200,12 @@ std::optional<std::vector<std::string>> PersistentVerdictStore::readRecord(
   std::string line;
   if (!std::getline(in, line) || line != std::string(kMagic) + ' ' + kind)
     return std::nullopt;
-  if (!std::getline(in, line) || line.rfind("key ", 0) != 0)
-    return std::nullopt;
-  size_t nbytes = 0;
-  try {
-    nbytes = std::stoull(line.substr(4));
-  } catch (...) {
-    return std::nullopt;
-  }
+  if (!std::getline(in, line) || line != "key " + std::to_string(key.size()))
+    return std::nullopt;  // declared length differs: never allocate it
   // Collision-proof verification: the digest in the file name only located
   // a candidate; the verdict is served only if the FULL key matches.
-  std::string stored(nbytes, '\0');
-  if (!in.read(stored.data(), static_cast<std::streamsize>(nbytes)) ||
+  std::string stored(key.size(), '\0');
+  if (!in.read(stored.data(), static_cast<std::streamsize>(key.size())) ||
       stored != key || in.get() != '\n')
     return std::nullopt;
   std::vector<std::string> payload;
@@ -139,211 +216,92 @@ std::optional<std::vector<std::string>> PersistentVerdictStore::readRecord(
   return std::nullopt;  // truncated: treat as absent, recompute
 }
 
-std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheck(
-    const std::string& key, long long stepLimit) {
-  return loadCheckImpl(key, stepLimit, /*countMiss=*/true);
-}
-
-std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheckImpl(
-    const std::string& key, long long stepLimit, bool countMiss) {
-  if (memoryLayer_) {
-    MemShard& shard = shardFor(key);
-    std::optional<VerdictCache::Entry> hit;
-    {
-      std::lock_guard<std::mutex> lk(shard.mu);
-      auto it = shard.checks.find(key);
-      if (it != shard.checks.end() &&
-          VerdictCache::sufficientFor(it->second, stepLimit))
-        hit = it->second;
-    }
-    if (hit) {
-      checkHits_.fetch_add(1, std::memory_order_relaxed);
-      checkMemHits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
-    }
-    // A guard-failing or absent memory entry falls through to disk: a
-    // concurrent run sharing the directory may have persisted an upgraded
-    // record the memory layer has not seen.
-    if (dir_.empty()) {
-      if (countMiss) checkMisses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-  }
-  auto payload = readRecord('c', key, nullptr);
-  if (payload && payload->size() == 1) {
-    std::istringstream is((*payload)[0]);
-    std::string tag, verdict;
-    VerdictCache::Entry e;
-    int complete = -1;
-    if (is >> tag >> verdict >> e.tier >> complete >> e.steps &&
-        tag == "verdict" && (complete == 0 || complete == 1) && e.tier >= 0 &&
-        e.tier <= 2) {
-      if (auto r = parseVerdict(verdict)) {
-        e.result = *r;
-        e.complete = complete != 0;
-        if (memoryLayer_) memoizeCheck(key, e);
-        // The budget-provenance guard governs disk entries exactly as it
-        // governs memory ones.
-        if (VerdictCache::sufficientFor(e, stepLimit)) {
-          checkHits_.fetch_add(1, std::memory_order_relaxed);
-          return e;
-        }
-      }
-    }
-  }
-  if (countMiss) checkMisses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-void PersistentVerdictStore::storeCheck(const std::string& key,
-                                        const VerdictCache::Entry& e) {
-  if (memoryLayer_) memoizeCheck(key, e);
-  if (dir_.empty()) {
-    checkStores_.fetch_add(1, std::memory_order_relaxed);
-    resolveFlight('c', key);
-    return;
-  }
-  std::string payload = "verdict ";
-  payload += verdictTag(e.result);
-  payload += ' ';
-  payload += std::to_string(e.tier);
-  payload += e.complete ? " 1 " : " 0 ";
-  payload += std::to_string(e.steps);
-  payload += '\n';
-  writeRecord('c', key, payload, nullptr);
-  checkStores_.fetch_add(1, std::memory_order_relaxed);
-  // Publishing resolves any in-flight claim for this key: joiners wake and
-  // re-probe the layers the lines above just populated.
-  resolveFlight('c', key);
-}
-
-namespace {
-
-/// True iff every recorded check of `rec` passes the budget-provenance
-/// guard under `stepLimit` (the memory-layer twin of loadTask's per-check
-/// walk over the disk payload).
-bool taskSufficientFor(const PersistentVerdictStore::TaskRecord& rec,
-                       long long stepLimit) {
-  for (size_t i = 0; i < rec.tiers.size(); ++i) {
-    VerdictCache::Entry e{CheckResult::Unknown, rec.tiers[i],
-                          rec.exhausted[i] == 0, rec.steps[i]};
-    if (!VerdictCache::sufficientFor(e, stepLimit)) return false;
-  }
+template <class Rec>
+bool PersistentVerdictStore::keepStronger(Layer<Rec>& layer,
+                                          const std::string& key,
+                                          const Rec& rec) {
+  auto& shard = layer.shardFor(key);
+  std::lock_guard<std::mutex> lk(shard.mu);
+  auto [it, inserted] = shard.map.try_emplace(key, rec);
+  if (inserted) return true;
+  if (!provenance(rec).upgrades(provenance(it->second))) return false;
+  it->second = rec;
   return true;
 }
 
-}  // namespace
-
-std::optional<PersistentVerdictStore::TaskRecord>
-PersistentVerdictStore::loadTask(const std::string& key, long long stepLimit,
-                                 const std::string& digest) {
-  return loadTaskImpl(key, stepLimit, digest, /*countMiss=*/true);
-}
-
-std::optional<PersistentVerdictStore::TaskRecord>
-PersistentVerdictStore::loadTaskImpl(const std::string& key,
-                                     long long stepLimit,
-                                     const std::string& digest,
-                                     bool countMiss) {
-  if (memoryLayer_) {
-    MemShard& shard = shardFor(key);
-    std::optional<TaskRecord> hit;
-    {
-      std::lock_guard<std::mutex> lk(shard.mu);
-      auto it = shard.tasks.find(key);
-      if (it != shard.tasks.end() && taskSufficientFor(it->second, stepLimit))
-        hit = it->second;
-    }
-    if (hit) {
-      taskHits_.fetch_add(1, std::memory_order_relaxed);
-      taskMemHits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
-    }
-    if (dir_.empty()) {
-      if (countMiss) taskMisses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
+template <class Rec>
+std::optional<Rec> PersistentVerdictStore::load(Layer<Rec>& layer,
+                                                const std::string& key,
+                                                long long stepLimit,
+                                                const std::string* digest,
+                                                bool countMiss) {
+  {
+    auto& shard = layer.shardFor(key);
+    std::lock_guard<std::mutex> lk(shard.mu);
+    auto it = shard.map.find(key);
+    if (it != shard.map.end() && sufficientFor(it->second, stepLimit)) {
+      layer.hits.fetch_add(1, std::memory_order_relaxed);
+      layer.memoryHits.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
     }
   }
-  auto payload = readRecord('t', key, &digest);
-  if (payload && !payload->empty()) {
-    std::istringstream head((*payload)[0]);
-    std::string tag;
-    int unsat = -1, pairSafe = -1;
-    size_t nChecks = 0;
-    if (head >> tag >> unsat >> pairSafe >> nChecks && tag == "task" &&
-        (unsat == 0 || unsat == 1) && (pairSafe == 0 || pairSafe == 1) &&
-        payload->size() == nChecks + 1) {
-      TaskRecord rec;
-      rec.unsat = unsat != 0;
-      rec.pairSafe = pairSafe != 0;
-      bool good = true;
-      for (size_t i = 0; i < nChecks && good; ++i) {
-        std::istringstream is((*payload)[i + 1]);
-        int tier = -1, exhausted = -1;
-        long long steps = 0;
-        good = static_cast<bool>(is >> tag >> tier >> exhausted >> steps) &&
-               tag == "c" && tier >= 0 && tier <= 2 &&
-               (exhausted == 0 || exhausted == 1);
-        if (!good) break;
-        // Serve the record only when EVERY recorded check would have been
-        // derived identically under the caller's budget; then induction
-        // over the probe sequence gives the same walk, same stopping
-        // point, same verdict.
-        VerdictCache::Entry e{CheckResult::Unknown, tier, exhausted == 0,
-                              steps};
-        good = VerdictCache::sufficientFor(e, stepLimit);
-        rec.tiers.push_back(tier);
-        rec.exhausted.push_back(static_cast<char>(exhausted));
-        rec.steps.push_back(steps);
-      }
-      if (good) {
-        if (memoryLayer_) {
-          MemShard& shard = shardFor(key);
-          std::lock_guard<std::mutex> lk(shard.mu);
-          shard.tasks[key] = rec;
-        }
-        taskHits_.fetch_add(1, std::memory_order_relaxed);
+  // An absent or guard-failing memory record falls through to disk: a
+  // concurrent run sharing the directory may have persisted a stronger
+  // record than this process holds. The parsed record is memoized even
+  // when its guard fails, so a weaker one stored later never replaces it.
+  if (!dir_.empty()) {
+    Rec rec;
+    auto payload = readRecord(layer.kind, key, digest);
+    if (payload && parse(*payload, rec)) {
+      keepStronger(layer, key, rec);
+      if (sufficientFor(rec, stepLimit)) {
+        layer.hits.fetch_add(1, std::memory_order_relaxed);
         return rec;
       }
     }
   }
-  if (countMiss) taskMisses_.fetch_add(1, std::memory_order_relaxed);
+  if (countMiss) layer.misses.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
+}
+
+template <class Rec>
+void PersistentVerdictStore::publish(Layer<Rec>& layer,
+                                     const std::string& key, const Rec& rec,
+                                     const std::string* digest) {
+  if (keepStronger(layer, key, rec)) {
+    if (!dir_.empty()) writeRecord(layer.kind, key, render(rec), digest);
+    layer.stores.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Publishing resolves any in-flight claim for this key, kept or not:
+  // joiners wake and re-probe the memory layer the lines above settled.
+  resolveFlight(layer.kind, key);
+}
+
+std::optional<VerdictRecord> PersistentVerdictStore::loadCheck(
+    const std::string& key, long long stepLimit) {
+  return load(checks_, key, stepLimit, nullptr, /*countMiss=*/true);
+}
+
+void PersistentVerdictStore::storeCheck(const std::string& key,
+                                        const VerdictRecord& e) {
+  publish(checks_, key, e, nullptr);
+}
+
+std::optional<PersistentVerdictStore::TaskRecord>
+PersistentVerdictStore::loadTask(const std::string& key, long long stepLimit,
+                                 const std::string& digest) {
+  return load(tasks_, key, stepLimit, &digest, /*countMiss=*/true);
 }
 
 void PersistentVerdictStore::storeTask(const std::string& key,
                                        const TaskRecord& rec,
                                        const std::string& digest) {
-  if (memoryLayer_) {
-    MemShard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lk(shard.mu);
-    shard.tasks[key] = rec;
-  }
-  if (dir_.empty()) {
-    taskStores_.fetch_add(1, std::memory_order_relaxed);
-    resolveFlight('t', key);
-    return;
-  }
-  std::string payload = "task ";
-  payload += rec.unsat ? "1 " : "0 ";
-  payload += rec.pairSafe ? "1 " : "0 ";
-  payload += std::to_string(rec.tiers.size());
-  payload += '\n';
-  for (size_t i = 0; i < rec.tiers.size(); ++i) {
-    payload += "c ";
-    payload += std::to_string(rec.tiers[i]);
-    payload += rec.exhausted[i] != 0 ? " 1 " : " 0 ";
-    payload += std::to_string(rec.steps[i]);
-    payload += '\n';
-  }
-  writeRecord('t', key, payload, &digest);
-  taskStores_.fetch_add(1, std::memory_order_relaxed);
-  resolveFlight('t', key);
+  publish(tasks_, key, rec, &digest);
 }
 
 PersistentVerdictStore::FlightShard& PersistentVerdictStore::flightShardFor(
     const std::string& key) {
-  return flightShards_[fnv1a64(key) % kMemShards];
+  return flightShards_[fnv1a64(key) % kShards];
 }
 
 namespace {
@@ -412,65 +370,52 @@ std::optional<FlightClaim> PersistentVerdictStore::awaitOrClaim(
   return std::nullopt;
 }
 
-PersistentVerdictStore::CheckClaim PersistentVerdictStore::claimCheck(
-    const std::string& key, long long stepLimit,
-    const support::CancelToken* cancel) {
+template <class Rec>
+PersistentVerdictStore::Claim<Rec> PersistentVerdictStore::claim(
+    Layer<Rec>& layer, const std::string& key, long long stepLimit,
+    const std::string* digest, const support::CancelToken* cancel) {
   // Probe misses inside the claim loop are never counted — the caller's
   // original lookup already counted the one real miss; hits (including
   // joined ones) count as usual.
-  CheckClaim out;
+  Claim<Rec> out;
   bool waited = false;
   for (;;) {
-    if (auto claim = awaitOrClaim('c', key, waited, cancel)) {
+    if (auto owned = awaitOrClaim(layer.kind, key, waited, cancel)) {
       // Ownership verification probe. A publish fully completes (memoize,
       // then resolve) before its registry entry disappears, so if another
-      // owner published before we could register, the layers already hold
+      // owner published before we could register, memory already holds
       // the result here — serve it instead of recomputing. This closes the
       // lookup-miss → publish → claim race deterministically: duplicate
       // fresh evaluations cannot happen, not just rarely happen.
-      if (auto e = loadCheckImpl(key, stepLimit, /*countMiss=*/false)) {
-        releaseFlight('c', key, claim->token_, /*countUnclaim=*/false);
-        claim->store_ = nullptr;  // disarm: registration already dropped
-        if (waited) flightJoins_.fetch_add(1, std::memory_order_relaxed);
-        out.served = *e;
-        return out;
-      }
-      out.claim = std::move(*claim);
-      return out;
-    }
-    // Woke from a bounded wait on another owner's claim: re-probe.
-    if (auto e = loadCheckImpl(key, stepLimit, /*countMiss=*/false)) {
-      flightJoins_.fetch_add(1, std::memory_order_relaxed);
-      out.served = *e;
-      return out;
-    }
-  }
-}
-
-PersistentVerdictStore::TaskClaim PersistentVerdictStore::claimTask(
-    const std::string& key, long long stepLimit, const std::string& digest,
-    const support::CancelToken* cancel) {
-  TaskClaim out;
-  bool waited = false;
-  for (;;) {
-    if (auto claim = awaitOrClaim('t', key, waited, cancel)) {
-      if (auto rec =
-              loadTaskImpl(key, stepLimit, digest, /*countMiss=*/false)) {
-        releaseFlight('t', key, claim->token_, /*countUnclaim=*/false);
-        claim->store_ = nullptr;  // disarm: registration already dropped
+      if (auto rec = load(layer, key, stepLimit, digest, false)) {
+        releaseFlight(layer.kind, key, owned->token_, /*countUnclaim=*/false);
+        owned->store_ = nullptr;  // disarm: registration already dropped
         if (waited) flightJoins_.fetch_add(1, std::memory_order_relaxed);
         out.served = std::move(*rec);
         return out;
       }
-      out.claim = std::move(*claim);
+      out.claim = std::move(*owned);
       return out;
     }
-    if (auto rec = loadTaskImpl(key, stepLimit, digest, /*countMiss=*/false)) {
+    // Woke from a bounded wait on another owner's claim: re-probe.
+    if (auto rec = load(layer, key, stepLimit, digest, false)) {
       flightJoins_.fetch_add(1, std::memory_order_relaxed);
       out.served = std::move(*rec);
       return out;
     }
   }
+}
+
+PersistentVerdictStore::CheckClaim PersistentVerdictStore::claimCheck(
+    const std::string& key, long long stepLimit,
+    const support::CancelToken* cancel) {
+  return claim(checks_, key, stepLimit, nullptr, cancel);
+}
+
+PersistentVerdictStore::TaskClaim PersistentVerdictStore::claimTask(
+    const std::string& key, long long stepLimit, const std::string& digest,
+    const support::CancelToken* cancel) {
+  return claim(tasks_, key, stepLimit, &digest, cancel);
 }
 
 void FlightClaim::release() {
@@ -481,18 +426,21 @@ void FlightClaim::release() {
 }
 
 PersistentVerdictStore::Stats PersistentVerdictStore::stats() const {
+  const auto get = [](const std::atomic<long long>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
   Stats s;
-  s.checkHits = checkHits_.load(std::memory_order_relaxed);
-  s.checkMisses = checkMisses_.load(std::memory_order_relaxed);
-  s.checkStores = checkStores_.load(std::memory_order_relaxed);
-  s.taskHits = taskHits_.load(std::memory_order_relaxed);
-  s.taskMisses = taskMisses_.load(std::memory_order_relaxed);
-  s.taskStores = taskStores_.load(std::memory_order_relaxed);
-  s.checkMemoryHits = checkMemHits_.load(std::memory_order_relaxed);
-  s.taskMemoryHits = taskMemHits_.load(std::memory_order_relaxed);
-  s.flightClaims = flightClaims_.load(std::memory_order_relaxed);
-  s.flightJoins = flightJoins_.load(std::memory_order_relaxed);
-  s.flightUnclaims = flightUnclaims_.load(std::memory_order_relaxed);
+  s.checkHits = get(checks_.hits);
+  s.checkMisses = get(checks_.misses);
+  s.checkStores = get(checks_.stores);
+  s.taskHits = get(tasks_.hits);
+  s.taskMisses = get(tasks_.misses);
+  s.taskStores = get(tasks_.stores);
+  s.checkMemoryHits = get(checks_.memoryHits);
+  s.taskMemoryHits = get(tasks_.memoryHits);
+  s.flightClaims = get(flightClaims_);
+  s.flightJoins = get(flightJoins_);
+  s.flightUnclaims = get(flightUnclaims_);
   return s;
 }
 

@@ -1,19 +1,25 @@
-// Disk-backed content-addressed verdict store (the `-cache-dir` layer).
+// Content-addressed verdict store: the one verdict cache, in memory and —
+// given a directory (the `-cache-dir` layer) — on disk.
 //
-// Persists two record kinds across runs, both keyed by canonical CONTENT
-// fingerprints (smt/fingerprint.h) so any process that builds the same
+// Keeps two record kinds, both keyed by canonical CONTENT fingerprints
+// (smt/fingerprint.h) so any solver or process that builds the same
 // logical conjunction — regardless of atom interning order — addresses the
 // same entry:
 //
-//   - check records: one solver verdict per conjunction fingerprint, the
-//     durable twin of a VerdictCache::Entry (verdict, decision tier, and
-//     the PR 5 budget provenance). VerdictCache consults the store on a
-//     memory miss and writes through on store().
+//   - check records: one VerdictRecord (verdict, decision tier, budget
+//     provenance) per conjunction fingerprint. A Solver with the store
+//     attached loads, claims, decides and stores through them.
 //   - task records: the outcome of one scheduler QueryTask (consistency
 //     probe or pair-probe sequence), keyed by base-conjunction fingerprint
 //     plus the ordered probe keys. The scheduler splices these into its
 //     result table before evaluation, so a warm run of an unchanged
-//     context performs ZERO solver checks — not even cache-hit ones.
+//     context performs ZERO solver checks — not even served ones.
+//
+// Record policy, the same for both kinds: memory keeps the stronger of two
+// records for a key (VerdictRecord::upgrades), and a record is written to
+// disk only when it is new or stronger than the one memory holds. Loads
+// memoize every record they parse, so a budget-starved run can never
+// overwrite the complete records an earlier run persisted.
 //
 // Durability contract:
 //   - every file carries its FULL key and is verified byte-for-byte on
@@ -25,10 +31,12 @@
 //   - writes go to a unique temp file and are renamed into place, so
 //     concurrent runs sharing one cache directory never observe partial
 //     records;
-//   - budget provenance rides along, and loads re-apply
-//     VerdictCache::sufficientFor under the CALLER's step limit — a
-//     budget-starved Unknown persisted by one run can never poison a later
-//     unlimited run, and vice versa.
+//   - budget provenance rides along, and every load — memory or disk —
+//     re-applies VerdictRecord::sufficientFor under the CALLER's step
+//     limit: a budget-starved Unknown persisted by one run can never
+//     poison a later unlimited run, and vice versa. Records are pure
+//     functions of their content key and budget provenance, so serving
+//     one changes IO counters and wall time only, never a verdict.
 #pragma once
 
 #include <array>
@@ -49,26 +57,16 @@ class CancelToken;
 
 namespace formad::smt {
 
-/// Thread-safe persistent verdict store over one directory. Safe to share
-/// between all solvers/schedulers of a run and between concurrent runs.
-///
-/// Memory layer (the serving daemon's shared hot cache): with
-/// `memoryLayer` enabled, every record loaded from or written to disk is
-/// also memoized in a sharded in-process map, so repeated queries for the
-/// same content key are answered without touching the filesystem. The
-/// layer is sound by the same argument as the disk layer — records are
-/// pure functions of their content key and budget provenance, and every
-/// memory hit re-applies VerdictCache::sufficientFor under the caller's
-/// step limit — so enabling it changes IO counters and wall time only,
-/// never a verdict. A store constructed with an EMPTY directory is
-/// memory-only: a process-wide shared verdict cache with no persistence
-/// (what `formad_serve` uses when no --cache-dir is given).
+/// Thread-safe verdict store. Safe to share between all solvers and
+/// schedulers of a run, between the sessions of a daemon, and — through
+/// its directory — between concurrent processes.
 class PersistentVerdictStore {
  public:
-  /// Opens (creating if needed) the store directory. Throws formad::Error
-  /// when the directory cannot be created or is not writable. An empty
-  /// `dir` requires `memoryLayer` and yields a memory-only store.
-  explicit PersistentVerdictStore(std::string dir, bool memoryLayer = false);
+  /// Opens (creating if needed) the store directory. An EMPTY `dir`
+  /// yields a memory-only store: a process-wide verdict cache with no
+  /// persistence (what `formad_serve` uses when no -cache-dir is given).
+  /// Throws formad::Error when the directory cannot be created.
+  explicit PersistentVerdictStore(std::string dir);
 
   /// Outcome of one persisted scheduler task: the summary verdict plus the
   /// per-check replay trace (tier / exhausted flag / step provenance per
@@ -81,14 +79,14 @@ class PersistentVerdictStore {
     std::vector<long long> steps;  // complete: steps used; else limit hit
   };
 
-  /// Loads the check verdict persisted under `key`, or nullopt when absent,
+  /// Loads the check verdict stored under `key`, or nullopt when absent,
   /// corrupt, keyed differently (digest collision), or recorded under a
   /// budget insufficient for `stepLimit`.
-  [[nodiscard]] std::optional<VerdictCache::Entry> loadCheck(
-      const std::string& key, long long stepLimit);
-  void storeCheck(const std::string& key, const VerdictCache::Entry& e);
+  [[nodiscard]] std::optional<VerdictRecord> loadCheck(const std::string& key,
+                                                       long long stepLimit);
+  void storeCheck(const std::string& key, const VerdictRecord& e);
 
-  /// Loads the task record persisted under `key`; same guard as loadCheck,
+  /// Loads the task record stored under `key`; same guard as loadCheck,
   /// applied to EVERY recorded check (the replayed probe walk matches what
   /// re-derivation under `stepLimit` would produce only if each recorded
   /// verdict does). `digest` names the file: the caller supplies any
@@ -109,14 +107,14 @@ class PersistentVerdictStore {
   //
   // claimCheck/claimTask gate one evaluation per content fingerprint at a
   // time: the first caller gets an owned FlightClaim and computes; every
-  // concurrent duplicate blocks here, re-probing the memory/disk layers
-  // until the owner publishes (storeCheck/storeTask resolve the claim) or
-  // unclaims (FlightClaim destruction without publishing), in which case
-  // the first waiter to re-probe becomes the new owner and recomputes.
+  // concurrent duplicate blocks here, re-probing the store until the
+  // owner publishes (storeCheck/storeTask resolve the claim) or unclaims
+  // (FlightClaim destruction without publishing), in which case the first
+  // waiter to re-probe becomes the new owner and recomputes.
   //
   // Verdict-neutrality: a joined result is served through the SAME loads —
   // and hence the same budget-provenance guard under the JOINER's step
-  // limit — as any cold cache hit. A publish that is insufficient for a
+  // limit — as any other hit. A publish that is insufficient for a
   // waiting joiner's budget does not satisfy it; the joiner claims and
   // recomputes under its own budget. Dedup changes wall time and IO/dedup
   // counters only, never a verdict.
@@ -125,27 +123,25 @@ class PersistentVerdictStore {
   // support::Cancelled, so a joiner can never hang on a stalled winner
   // past its own deadline.
 
-  struct CheckClaim {
-    std::optional<VerdictCache::Entry> served;  // set: result is available
-    FlightClaim claim;  // owned() set: caller computes, then storeCheck()s
+  template <class Rec>
+  struct Claim {
+    std::optional<Rec> served;  // set: result is available
+    FlightClaim claim;  // owned() set: caller computes, then stores
   };
+  using CheckClaim = Claim<VerdictRecord>;
+  using TaskClaim = Claim<TaskRecord>;
   [[nodiscard]] CheckClaim claimCheck(const std::string& key,
                                       long long stepLimit,
                                       const support::CancelToken* cancel);
-
-  struct TaskClaim {
-    std::optional<TaskRecord> served;
-    FlightClaim claim;
-  };
   [[nodiscard]] TaskClaim claimTask(const std::string& key,
                                     long long stepLimit,
                                     const std::string& digest,
                                     const support::CancelToken* cancel);
 
   /// Monotone IO counters (relaxed atomics; snapshot semantics only).
-  /// Memory-layer hits count toward checkHits/taskHits AND the dedicated
-  /// memory counters, so hit rates stay comparable with and without the
-  /// layer.
+  /// Memory hits count toward checkHits/taskHits AND the dedicated memory
+  /// counters. Stores count the records kept (new or stronger); only
+  /// those reach the disk.
   struct Stats {
     long long checkHits = 0;
     long long checkMisses = 0;
@@ -165,19 +161,55 @@ class PersistentVerdictStore {
   [[nodiscard]] Stats stats() const;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
-  [[nodiscard]] bool memoryLayerEnabled() const { return memoryLayer_; }
 
  private:
   friend class FlightClaim;
 
-  /// Load bodies shared by the public loads and the claim loops. The claim
-  /// loop re-probes on every wakeup, so its probes must not count misses —
-  /// the caller's original lookup already counted the one real miss.
-  [[nodiscard]] std::optional<VerdictCache::Entry> loadCheckImpl(
-      const std::string& key, long long stepLimit, bool countMiss);
-  [[nodiscard]] std::optional<TaskRecord> loadTaskImpl(
-      const std::string& key, long long stepLimit, const std::string& digest,
-      bool countMiss);
+  static constexpr size_t kShards = 16;
+
+  /// One record kind: its file tag, memory map (sharded by content key;
+  /// positive records only — a miss is never memoized, so a record
+  /// another process writes to the shared directory later is still found)
+  /// and IO counters.
+  template <class Rec>
+  struct Layer {
+    explicit Layer(char k) : kind(k) {}
+    struct Shard {
+      std::mutex mu;
+      std::unordered_map<std::string, Rec> map;
+    };
+    [[nodiscard]] Shard& shardFor(const std::string& key) {
+      return shards[fnv1a64(key) % kShards];
+    }
+    const char kind;
+    std::array<Shard, kShards> shards;
+    std::atomic<long long> hits{0}, misses{0}, stores{0}, memoryHits{0};
+  };
+
+  // The record-kind-generic bodies of the public loads, stores and claims.
+  // `digest` names the file: caller-supplied for task records, nullptr
+  // (contentDigest(key)) for check records. The claim loop re-probes on
+  // every wakeup, so its loads pass countMiss = false — the caller's
+  // original lookup already counted the one real miss.
+  template <class Rec>
+  [[nodiscard]] std::optional<Rec> load(Layer<Rec>& layer,
+                                        const std::string& key,
+                                        long long stepLimit,
+                                        const std::string* digest,
+                                        bool countMiss);
+  template <class Rec>
+  void publish(Layer<Rec>& layer, const std::string& key, const Rec& rec,
+               const std::string* digest);
+  template <class Rec>
+  [[nodiscard]] Claim<Rec> claim(Layer<Rec>& layer, const std::string& key,
+                                 long long stepLimit,
+                                 const std::string* digest,
+                                 const support::CancelToken* cancel);
+  /// Keeps the stronger of `rec` and the record memory holds for `key`;
+  /// true when `rec` was kept (new or stronger).
+  template <class Rec>
+  bool keepStronger(Layer<Rec>& layer, const std::string& key,
+                    const Rec& rec);
 
   // In-flight registry: sharded (mutex, condvar, map of resolved-by-token
   // entries) keyed by kind + content key. resolveFlight is called by every
@@ -196,16 +228,13 @@ class PersistentVerdictStore {
   /// was abandoned mid-compute, so it is not an unclaim for the counters.
   void releaseFlight(char kind, const std::string& key,
                      unsigned long long token, bool countUnclaim = true);
-  /// The claim loop body shared by claimCheck/claimTask: returns an owned
-  /// claim once the key is free, or nullopt after a wakeup (caller
-  /// re-probes). Throws support::Cancelled when `cancel` fires.
+  /// The claim loop body: returns an owned claim once the key is free, or
+  /// nullopt after a wakeup (caller re-probes). Throws support::Cancelled
+  /// when `cancel` fires.
   [[nodiscard]] std::optional<FlightClaim> awaitOrClaim(
       char kind, const std::string& key, bool& waited,
       const support::CancelToken* cancel);
 
-  /// `digest` in these three: the file-naming digest — caller-supplied for
-  /// task records, contentDigest(key) (passed by loadCheck/storeCheck) for
-  /// check records.
   [[nodiscard]] std::string pathFor(char kind, const std::string& key,
                                     const std::string* digest) const;
   /// Writes `payload` atomically to the final path for (kind, key).
@@ -216,30 +245,10 @@ class PersistentVerdictStore {
   [[nodiscard]] std::optional<std::vector<std::string>> readRecord(
       char kind, const std::string& key, const std::string* digest) const;
 
-  // Memory layer: sharded maps keyed by the full content key. Positive
-  // records only — a miss is never memoized, so a record another process
-  // writes to the shared directory later is still found. Check entries
-  // keep the upgrade rule of VerdictCache::store (complete beats
-  // exhausted, larger exhaustion limit beats smaller); task records are
-  // last-write-wins, which is sound because every load re-applies the
-  // budget guard.
-  static constexpr size_t kMemShards = 16;
-  struct MemShard {
-    std::mutex mu;
-    std::unordered_map<std::string, VerdictCache::Entry> checks;
-    std::unordered_map<std::string, TaskRecord> tasks;
-  };
-  [[nodiscard]] MemShard& shardFor(const std::string& key);
-  /// Memoizes a check entry, keeping the stronger of old and new.
-  void memoizeCheck(const std::string& key, const VerdictCache::Entry& e);
-
   std::string dir_;
-  bool memoryLayer_ = false;
-  std::array<MemShard, kMemShards> memShards_;
-  std::array<FlightShard, kMemShards> flightShards_;
-  std::atomic<long long> checkHits_{0}, checkMisses_{0}, checkStores_{0};
-  std::atomic<long long> taskHits_{0}, taskMisses_{0}, taskStores_{0};
-  std::atomic<long long> checkMemHits_{0}, taskMemHits_{0};
+  Layer<VerdictRecord> checks_{'c'};
+  Layer<TaskRecord> tasks_{'t'};
+  std::array<FlightShard, kShards> flightShards_;
   std::atomic<long long> flightClaims_{0}, flightJoins_{0},
       flightUnclaims_{0};
   std::atomic<unsigned long long> claimToken_{1};

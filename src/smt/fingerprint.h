@@ -1,10 +1,10 @@
 // Content-addressed canonical fingerprints for solver terms.
 //
-// The in-memory verdict cache keys conjunctions on per-constraint strings.
-// For a cache that must survive the process — and be shared by runs that
-// intern atoms in a different order — those strings have to be a pure
-// function of CONTENT, never of AtomIds (which are interning-order
-// handles). The Fingerprinter renders every atom structurally:
+// The verdict store keys conjunctions on per-constraint strings. For a
+// cache that is shared by solvers over different atom tables, and that
+// survives the process, those strings have to be a pure function of
+// CONTENT, never of AtomIds (which are interning-order handles). The
+// Fingerprinter renders every atom structurally:
 //
 //   Var  n (instance k, primed)   ->  n#k'
 //   UF   f(e1, ..., ek)           ->  f(<exprKey(e1)>,...)   (recursive)

@@ -3,9 +3,8 @@
 // A claim marks one content fingerprint (a solver check or a scheduler
 // task) as "being computed right now" so concurrent duplicates block and
 // join the winner's published result instead of re-paying the SMT bill.
-// Kept in its own header so both smt/solver.h (which hands claims out via
-// VerdictCache) and smt/diskcache.h (which implements the registry) can
-// name the type without an include cycle.
+// smt/diskcache.h implements the registry; callers (Solver::check, the
+// exploitation scheduler) hold the handle while they compute.
 //
 // Lifecycle:
 //   - PersistentVerdictStore::claimCheck/claimTask return either a served

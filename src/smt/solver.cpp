@@ -20,138 +20,6 @@ std::string to_string(CheckResult r) {
   return "?";
 }
 
-namespace {
-
-/// Shared upgrade policy: true when `e` covers strictly more budgets than
-/// `cur` (a complete verdict over an exhausted one, or an exhaustion at a
-/// larger limit). Serving is guarded by sufficientFor, so this policy only
-/// affects hit rates, never verdicts.
-bool upgrades(const VerdictCache::Entry& e, const VerdictCache::Entry& cur) {
-  return (e.complete && !cur.complete) ||
-         (!e.complete && !cur.complete && e.steps > cur.steps);
-}
-
-void bumpTier(std::array<std::atomic<long long>, 3>& tiers, int tier) {
-  if (tier >= 0 && tier < 3)
-    tiers[static_cast<size_t>(tier)].fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-std::optional<VerdictCache::Entry> VerdictCache::lookup(
-    const std::string& key, long long stepLimit) {
-  {
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto it = s.map.find(key);
-    if (it != s.map.end() && sufficientFor(it->second, stepLimit)) {
-      memoryHits_.fetch_add(1, std::memory_order_relaxed);
-      bumpTier(memoryHitTiers_, it->second.tier);
-      return it->second;
-    }
-  }
-  // Memory miss: consult the persistent store (IO outside the shard lock;
-  // the store applies the same sufficientFor guard) and memoize a hit so
-  // the rest of the run pays the disk read once per conjunction.
-  if (store_ != nullptr) {
-    if (auto e = store_->loadCheck(key, stepLimit)) {
-      diskHits_.fetch_add(1, std::memory_order_relaxed);
-      bumpTier(diskHitTiers_, e->tier);
-      Shard& s = shardFor(key);
-      std::lock_guard<std::mutex> lk(s.mu);
-      auto [it, inserted] = s.map.emplace(key, *e);
-      if (!inserted && upgrades(*e, it->second)) it->second = *e;
-      return e;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-void VerdictCache::store(const std::string& key, CheckResult r, int tier,
-                         bool complete, long long steps) {
-  stores_.fetch_add(1, std::memory_order_relaxed);
-  const Entry e{r, tier, complete, steps};
-  bool fresh = false;
-  {
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto [it, inserted] = s.map.emplace(key, e);
-    fresh = inserted;
-    if (!inserted && upgrades(e, it->second)) {
-      it->second = e;
-      fresh = true;
-    }
-  }
-  // Write-through outside the lock; only new/upgraded entries hit the disk.
-  if (fresh && store_ != nullptr) {
-    store_->storeCheck(key, e);
-    diskStores_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-VerdictCache::CheckFlight VerdictCache::claimCheck(
-    const std::string& key, long long stepLimit,
-    const support::CancelToken* cancel) {
-  CheckFlight out;
-  if (store_ == nullptr) return out;  // inert: caller computes, no claim
-  auto res = store_->claimCheck(key, stepLimit, cancel);
-  if (res.served) {
-    // A joined result is a store-layer hit: account and memoize it exactly
-    // like a disk hit in lookup(), so hit-rate diagnostics stay comparable.
-    diskHits_.fetch_add(1, std::memory_order_relaxed);
-    bumpTier(diskHitTiers_, res.served->tier);
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto [it, inserted] = s.map.emplace(key, *res.served);
-    if (!inserted && upgrades(*res.served, it->second))
-      it->second = *res.served;
-    out.served = *res.served;
-    return out;
-  }
-  out.claim = std::move(res.claim);
-  return out;
-}
-
-VerdictCache::CacheStats VerdictCache::cacheStats() const {
-  CacheStats cs;
-  cs.memoryHits = memoryHits_.load(std::memory_order_relaxed);
-  cs.diskHits = diskHits_.load(std::memory_order_relaxed);
-  cs.misses = misses_.load(std::memory_order_relaxed);
-  cs.stores = stores_.load(std::memory_order_relaxed);
-  cs.diskStores = diskStores_.load(std::memory_order_relaxed);
-  for (size_t t = 0; t < 3; ++t) {
-    cs.memoryHitTiers[t] = memoryHitTiers_[t].load(std::memory_order_relaxed);
-    cs.diskHitTiers[t] = diskHitTiers_[t].load(std::memory_order_relaxed);
-  }
-  return cs;
-}
-
-size_t VerdictCache::size() const {
-  size_t n = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lk(const_cast<std::mutex&>(s.mu));
-    n += s.map.size();
-  }
-  return n;
-}
-
-void VerdictCache::bind(const AtomTable* atoms) {
-  std::lock_guard<std::mutex> lk(bindMu_);
-  if (atoms_ == nullptr) {
-    atoms_ = atoms;
-    return;
-  }
-  if (atoms_ != atoms)
-    fail("VerdictCache shared across distinct AtomTables: cache keys embed "
-         "AtomIds, which are only meaningful relative to one table");
-}
-
-void Solver::attachCache(VerdictCache* cache) {
-  if (cache != nullptr) cache->bind(&atoms_);
-  sharedCache_ = cache;
-}
-
 void Solver::reset() {
   stack_.clear();
   sortedKeys_.clear();
@@ -211,14 +79,20 @@ std::string Solver::stackKey() const {
   // A conjunction is order-independent; the sorted order makes stacks that
   // assert the same constraints in different orders share a cache entry.
   // The per-constraint keys were derived and placed once at add() time.
-  size_t bytes = 32;  // room for the salt prefix
+  size_t bytes = 64;  // room for the key-space prefixes
   for (const auto& p : sortedKeys_) bytes += p.size() + 1;
   std::string key;
   key.reserve(bytes);
+  // Verdicts carry the decision tier, and the available deciders differ
+  // by fast-path mode and under -absint — prefixing both keeps each
+  // setting's key space (and hence the store's records) disjoint. Full
+  // mode, the analyses' default, adds no prefix.
+  if (fastMode_ != FastPathMode::Full) {
+    key += "fastpath:";
+    key += to_string(fastMode_);
+    key += ';';
+  }
   if (hints_ != nullptr && hints_->salt != 0) {
-    // Verdicts carry the decision tier, and the available deciders differ
-    // under -absint — prefixing the fact-bundle salt keeps the two key
-    // spaces (and hence every in-memory and on-disk cache) disjoint.
     char buf[32];
     std::snprintf(buf, sizeof(buf), "absint:%016llx;",
                   static_cast<unsigned long long>(hints_->salt));
@@ -249,64 +123,35 @@ CheckResult Solver::check() {
       return CheckResult::Unknown;
     }
   }
-  std::string key = stackKey();
-  if (sharedCache_ != nullptr) {
-    if (auto cached = sharedCache_->lookup(key, stepLimit_)) {
-      ++stats_.cacheHits;
-      lastTier_ = cached->tier;
-      lastSteps_ = cached->steps;  // served provenance (see lastCheckSteps)
-      if (!cached->complete) {
-        lastBudgetExhausted_ = true;
-        ++stats_.budgetExhausted;
-      }
-      return cached->result;
-    }
-    // Single-flight gate (inert without an attached store): claim the
-    // conjunction before solving so concurrent duplicates — other workers,
-    // other sessions of a daemon — block and join this solve instead of
-    // re-paying it. A served claim is indistinguishable from the cache hit
-    // above (same counters, same provenance), keeping freshSolverChecks
-    // = checks - cacheHits meaningful under dedup; and if decide() unwinds
-    // (cancellation, deadline, injected fault), the claim's destructor
-    // unclaims so a joiner recomputes instead of hanging.
-    auto flight = sharedCache_->claimCheck(key, stepLimit_, cancel_);
-    if (flight.served) {
-      ++stats_.cacheHits;
-      lastTier_ = flight.served->tier;
-      lastSteps_ = flight.served->steps;
-      if (!flight.served->complete) {
-        lastBudgetExhausted_ = true;
-        ++stats_.budgetExhausted;
-      }
-      return flight.served->result;
-    }
-    CheckResult r = decide();
-    sharedCache_->store(key, r, lastTier_, !lastBudgetExhausted_,
-                        lastBudgetExhausted_ ? stepLimit_ : lastSteps_);
-    return r;
+  if (store_ == nullptr) return decide();
+  // Load, then claim: a conjunction another solver — another worker,
+  // another session of a daemon — is deciding right now is joined
+  // instead of re-paid. A joined verdict is indistinguishable from a
+  // loaded one (same counters, same provenance), keeping
+  // freshSolverChecks = checks - cacheHits meaningful under dedup; and if
+  // decide() unwinds (cancellation, deadline, injected fault), the claim's
+  // destructor unclaims so a joiner recomputes instead of hanging.
+  const std::string key = stackKey();
+  std::optional<VerdictRecord> served = store_->loadCheck(key, stepLimit_);
+  FlightClaim claim;
+  if (!served) {
+    auto flight = store_->claimCheck(key, stepLimit_, cancel_);
+    served = std::move(flight.served);
+    claim = std::move(flight.claim);
   }
-  auto it = verdictCache_.find(key);
-  if (it != verdictCache_.end() &&
-      VerdictCache::sufficientFor(it->second, stepLimit_)) {
+  if (served) {
     ++stats_.cacheHits;
-    lastTier_ = it->second.tier;
-    lastSteps_ = it->second.steps;
-    if (!it->second.complete) {
+    lastTier_ = served->tier;
+    lastSteps_ = served->steps;  // served provenance (see lastCheckSteps)
+    if (!served->complete) {
       lastBudgetExhausted_ = true;
       ++stats_.budgetExhausted;
     }
-    return it->second.result;
+    return served->result;
   }
-  CheckResult r = decide();
-  VerdictCache::Entry e{r, lastTier_, !lastBudgetExhausted_,
-                        lastBudgetExhausted_ ? stepLimit_ : lastSteps_};
-  if (it != verdictCache_.end()) {
-    // Insufficient entry found above: upgrade under the same policy as
-    // VerdictCache::store.
-    if (upgrades(e, it->second)) it->second = e;
-  } else {
-    verdictCache_.emplace(std::move(key), e);
-  }
+  const CheckResult r = decide();
+  store_->storeCheck(key, {r, lastTier_, !lastBudgetExhausted_,
+                           lastBudgetExhausted_ ? stepLimit_ : lastSteps_});
   return r;
 }
 

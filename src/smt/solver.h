@@ -19,14 +19,11 @@
 // conflicting" — the safe direction.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/budget.h"
@@ -35,7 +32,6 @@
 #include "smt/fingerprint.h"
 #include "smt/hnf.h"
 #include "smt/lia.h"
-#include "smt/singleflight.h"
 #include "smt/term.h"
 
 namespace formad::support {
@@ -87,140 +83,43 @@ struct FaultInject {
   long long throwAtCheck = 0;
 };
 
-/// A sharded, thread-safe verdict cache shared by the per-worker solvers of
-/// one parallel analysis. Keys are canonical assertion-stack fingerprints
-/// (Solver::stackKey), which cover the ENTIRE live stack — including
-/// assertions inside open push/pop scopes — so a verdict recorded under one
-/// scope can never be served for a different one. Keys are CONTENT-based
-/// (smt/fingerprint.h): two runs that build the same logical conjunction
-/// derive the same key no matter how their atom tables are laid out, which
-/// is what makes the optional disk layer (attachStore) meaningful.
+/// A decided verdict plus its provenance: the one record the verdict store
+/// keeps per conjunction, in memory and on disk. `tier` is the decision
+/// tier that produced it (0/1 fast path, 2 full solve), a pure function of
+/// the conjunction and the fast-path mode, so serving it keeps per-tier
+/// accounting identical at any pool width.
 ///
-/// Each solver still derives keys through its own per-table memo, so the
-/// cache binds to the table of the first solver that attaches and rejects
-/// attachment from any other table (one cache = one analysis).
-class VerdictCache {
- public:
-  /// A cached verdict plus the decision tier (0/1 fast path, 2 full solve)
-  /// that first produced it. The tier is a pure function of the
-  /// conjunction (every decider is deterministic and order-independent),
-  /// so serving it with the verdict keeps per-tier accounting identical
-  /// at any pool width.
-  ///
-  /// Budget provenance: `complete` records whether the verdict finished
-  /// its solve; `steps` holds the deterministic step count it consumed
-  /// (complete) or the step limit it ran out at (incomplete). lookup()
-  /// only serves an entry to a solver whose budget would have produced
-  /// the same answer — so a budget-limited Unknown can never poison a
-  /// later run with a larger budget, and a large-budget verdict can never
-  /// leak into a run whose budget could not have afforded it.
-  struct Entry {
-    CheckResult result = CheckResult::Unknown;
-    int tier = 2;
-    bool complete = true;
-    long long steps = 0;
-  };
+/// Budget provenance: `complete` records whether the verdict finished its
+/// solve; `steps` holds the deterministic step count it consumed
+/// (complete) or the step limit it ran out at (incomplete).
+struct VerdictRecord {
+  CheckResult result = CheckResult::Unknown;
+  int tier = 2;
+  bool complete = true;
+  long long steps = 0;
 
   /// True iff a solver with per-check step budget `stepLimit` (<= 0 =
-  /// unlimited) would derive exactly this entry's verdict itself: a
-  /// complete verdict needs the budget to cover its step count; an
-  /// exhausted one needs a budget no larger than the one that ran out
-  /// (step counts are deterministic, so exhaustion is monotone in the
-  /// limit).
-  [[nodiscard]] static bool sufficientFor(const Entry& e, long long stepLimit) {
-    return e.complete ? (stepLimit <= 0 || e.steps <= stepLimit)
-                      : (stepLimit > 0 && stepLimit <= e.steps);
+  /// unlimited) would derive exactly this verdict itself: a complete
+  /// verdict needs the budget to cover its step count; an exhausted one
+  /// needs a budget no larger than the one that ran out (step counts are
+  /// deterministic, so exhaustion is monotone in the limit). Every load
+  /// applies it, so a budget-limited Unknown can never poison a run with a
+  /// larger budget, and a large-budget verdict never leaks into a run
+  /// whose budget could not have afforded it.
+  [[nodiscard]] bool sufficientFor(long long stepLimit) const {
+    return complete ? (stepLimit <= 0 || steps <= stepLimit)
+                    : (stepLimit > 0 && stepLimit <= steps);
   }
 
-  /// Returns the cached verdict, or nullopt on miss. An entry whose budget
-  /// provenance is insufficient for `stepLimit` counts as a miss (the
-  /// caller re-derives under its own budget; store() keeps the first
-  /// entry, which is fine — lookups are guarded, never trusted blindly).
-  /// On a memory miss with a persistent store attached, the store is
-  /// consulted (under the same budget guard) and a disk hit is memoized
-  /// in the shard map for the rest of the run.
-  [[nodiscard]] std::optional<Entry> lookup(const std::string& key,
-                                            long long stepLimit = 0);
-  /// Records a verdict. Concurrent stores of the same key are benign: every
-  /// solver derives the same verdict (and tier) for the same fingerprint
-  /// under the same budget, and cross-budget reuse is guarded in lookup().
-  /// With a persistent store attached, new or upgraded entries are written
-  /// through (outside the shard lock).
-  void store(const std::string& key, CheckResult r, int tier = 2,
-             bool complete = true, long long steps = 0);
-
-  /// Attaches a disk-backed persistent store consulted on memory misses and
-  /// written through on stores (nullptr = detach). The store outlives the
-  /// cache and may be shared by many caches and runs concurrently.
-  void attachStore(PersistentVerdictStore* store) { store_ = store; }
-  [[nodiscard]] PersistentVerdictStore* attachedStore() const {
-    return store_;
+  /// True when this record serves strictly more budgets than `cur`: a
+  /// complete verdict over an exhausted one, or an exhaustion at a larger
+  /// limit. The store keeps the stronger of two records; serving is
+  /// guarded by sufficientFor, so this policy affects hit rates only,
+  /// never a verdict.
+  [[nodiscard]] bool upgrades(const VerdictRecord& cur) const {
+    return (complete && !cur.complete) ||
+           (!complete && !cur.complete && steps > cur.steps);
   }
-
-  /// Single-flight gate consulted by Solver::check() after a lookup miss.
-  /// With a store attached, delegates to PersistentVerdictStore::claimCheck:
-  /// either the winner's published entry is served (memoized in the shard
-  /// and counted like a disk hit), or the caller receives the owned claim
-  /// and must compute + store() (which publishes and resolves it). Without
-  /// a store this is inert — no served entry, no owned claim, no blocking —
-  /// so single-process runs keep their exact pre-existing behavior.
-  struct CheckFlight {
-    std::optional<Entry> served;
-    FlightClaim claim;
-  };
-  [[nodiscard]] CheckFlight claimCheck(const std::string& key,
-                                       long long stepLimit,
-                                       const support::CancelToken* cancel);
-
-  [[nodiscard]] long long hits() const {
-    return memoryHits_.load(std::memory_order_relaxed) +
-           diskHits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] long long misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] size_t size() const;
-
-  /// Snapshot of the cache's own counters, split by layer and — for hits —
-  /// by the decision tier recorded with the served verdict. IO/timing
-  /// dependent diagnostics only: never folded into deterministic reports.
-  struct CacheStats {
-    long long memoryHits = 0;
-    long long diskHits = 0;    // served from the persistent store
-    long long misses = 0;      // not served by either layer
-    long long stores = 0;      // store() calls
-    long long diskStores = 0;  // entries written through to disk
-    std::array<long long, 3> memoryHitTiers{};
-    std::array<long long, 3> diskHitTiers{};
-  };
-  [[nodiscard]] CacheStats cacheStats() const;
-
- private:
-  friend class Solver;
-  /// Binds the cache to one AtomTable (first caller wins); throws
-  /// formad::Error if a solver over a different table tries to attach.
-  void bind(const AtomTable* atoms);
-
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::string, Entry> map;
-  };
-  [[nodiscard]] Shard& shardFor(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) % kShards];
-  }
-
-  std::array<Shard, kShards> shards_;
-  PersistentVerdictStore* store_ = nullptr;
-  std::atomic<long long> memoryHits_{0};
-  std::atomic<long long> diskHits_{0};
-  std::atomic<long long> misses_{0};
-  std::atomic<long long> stores_{0};
-  std::atomic<long long> diskStores_{0};
-  std::array<std::atomic<long long>, 3> memoryHitTiers_{};
-  std::array<std::atomic<long long>, 3> diskHitTiers_{};
-  std::mutex bindMu_;
-  const AtomTable* atoms_ = nullptr;  // guarded by bindMu_
 };
 
 class Solver {
@@ -238,15 +137,12 @@ class Solver {
   /// the assertion stack silently).
   void pop();
 
-  /// Decides the current conjunction. The model is rebuilt from the
-  /// assertion stack, but two layers of incrementality avoid repeated work
-  /// across the many near-identical stacks FormAD's context-tree walk
-  /// produces:
-  ///   - a verdict cache keyed on the canonicalized stack (conjunctions are
-  ///     order-independent), so re-checking an already-decided conjunction
-  ///     is a map lookup;
-  ///   - within one solve, each Ne constraint is reduced against the
-  ///     equality system once and the residue reused by every later pass.
+  /// Decides the current conjunction. With a verdict store attached
+  /// (attachStore), the canonical stack key is looked up first, then
+  /// claimed so concurrent duplicates join one solve, then decided and
+  /// stored; without one, every check is decided afresh and no key is
+  /// built. Within one solve, each Ne constraint is reduced against the
+  /// equality system once and the residue reused by every later pass.
   [[nodiscard]] CheckResult check();
 
   /// Attempts to build a concrete integer model of the current conjunction
@@ -276,7 +172,7 @@ class Solver {
   struct Stats {
     long long assertionsAdded = 0;
     long long checks = 0;
-    long long cacheHits = 0;       // checks answered from the verdict cache
+    long long cacheHits = 0;       // checks answered by the verdict store
     long long fastpathTier0 = 0;   // checks decided by a tier-0 syntactic test
     long long fastpathTier1 = 0;   // checks decided by a tier-1 arithmetic test
     long long reduceCalls = 0;     // lia.reduce invocations actually made
@@ -284,7 +180,7 @@ class Solver {
     long long modelSearches = 0;   // model() invocations
     long long modelsFound = 0;     // model() calls that produced a witness
     /// Checks that returned a budget-exhausted Unknown (including ones
-    /// served from a cache entry recorded as exhausted, and injected
+    /// served from a record stored as exhausted, and injected
     /// faults). Appended to describe() only when nonzero, so default
     /// (unlimited) runs render byte-identically to the pre-budget format.
     long long budgetExhausted = 0;
@@ -310,7 +206,7 @@ class Solver {
   /// substitutions, congruence merges, HNF column ops, model-search
   /// candidates), so the verdict under a given budget is a pure function
   /// of the conjunction: byte-identical at any thread count. Survives
-  /// reset(), like the cache attachment.
+  /// reset(), like the store attachment.
   void setStepBudget(long long stepsPerCheck) { stepLimit_ = stepsPerCheck; }
   [[nodiscard]] long long stepBudget() const { return stepLimit_; }
 
@@ -329,8 +225,7 @@ class Solver {
   /// fast path additionally runs the "t1-absint" witness decider, and
   /// stackKey() is prefixed with the salt — verdicts (whose recorded tier
   /// depends on the deciders available) computed under different -absint
-  /// settings can then never be served across settings, in memory or on
-  /// disk. Survives reset().
+  /// settings can then never be served across settings. Survives reset().
   void setAbsintHints(const AbsintHints* hints) { hints_ = hints; }
   [[nodiscard]] const AbsintHints* absintHints() const { return hints_; }
 
@@ -341,28 +236,30 @@ class Solver {
     return lastBudgetExhausted_;
   }
   /// Deterministic step provenance of the most recent check(): the steps a
-  /// fresh solve consumed, or — on a cache hit — the provenance recorded
-  /// with the served entry (so callers persisting budget metadata see the
-  /// same numbers whether the verdict was derived or served).
+  /// fresh solve consumed, or — when the store served it — the provenance
+  /// recorded with the served verdict (so callers persisting budget
+  /// metadata see the same numbers whether the verdict was derived or
+  /// served).
   [[nodiscard]] long long lastCheckSteps() const { return lastSteps_; }
 
   /// Decision tier of the most recent check(): 0/1 = fast path, 2 = full
-  /// solve. Cache hits report the tier stored with the verdict, which is a
+  /// solve. Served verdicts report the tier stored with them, which is a
   /// pure function of the conjunction — so per-tier accounting is
   /// deterministic at any pool width.
   [[nodiscard]] int lastCheckTier() const { return lastTier_; }
 
   [[nodiscard]] AtomTable& atoms() { return atoms_; }
 
-  /// Shares a concurrent verdict cache with other solvers over the SAME
-  /// AtomTable (per-worker solvers of one parallel analysis). While
-  /// attached, check() consults the shared cache instead of the private
-  /// map. Pass nullptr to detach.
-  void attachCache(VerdictCache* cache);
+  /// Attaches the verdict store check() caches through (nullptr = none,
+  /// the default: every check is decided). Keys are content fingerprints,
+  /// so any number of solvers — over any atom tables, in any process
+  /// sharing the store's directory — may share one store. Survives
+  /// reset().
+  void attachStore(PersistentVerdictStore* store) { store_ = store; }
 
   /// Clears the assertion stack, open scopes, and the thread binding (so
   /// the solver may be adopted by another worker for the next task batch).
-  /// Stats and cache attachment survive.
+  /// Stats and store attachment survive.
   void reset();
 
   /// Canonical CONTENT fingerprint of one constraint (smt/fingerprint.h) —
@@ -375,15 +272,17 @@ class Solver {
 
   /// Canonical fingerprint of the current conjunction: per-constraint keys,
   /// sorted (a conjunction is order-independent) and joined — byte-equal
-  /// to conjunctionKey() of the live keys, behind the absint salt prefix.
-  /// Covers the whole live stack including open push/pop scopes, so
-  /// cached verdicts can never leak across scopes. The keys are kept
-  /// sorted as constraints come and go, so this only concatenates.
+  /// to conjunctionKey() of the live keys, behind the key-space prefixes:
+  /// the fast-path mode unless it is Full, then the absint salt. Recorded
+  /// tiers depend on both, so each setting gets its own key space. Covers
+  /// the whole live stack including open push/pop scopes, so cached
+  /// verdicts can never leak across scopes. The keys are kept sorted as
+  /// constraints come and go, so this only concatenates.
   [[nodiscard]] std::string stackKey() const;
 
  private:
-  /// check() body on a cache miss: tiered fast path first, full solve as
-  /// the fallback. Records the decision tier in lastTier_.
+  /// check() body when no stored verdict serves: tiered fast path first,
+  /// full solve as the fallback. Records the decision tier in lastTier_.
   [[nodiscard]] CheckResult decide();
   [[nodiscard]] CheckResult solve();
   /// model() body; runs under the armed step budget (StepLimitReached is
@@ -411,8 +310,7 @@ class Solver {
   /// at the recorded index undoes it.
   std::vector<size_t> keySlots_;
   std::vector<size_t> marks_;
-  std::map<std::string, VerdictCache::Entry> verdictCache_;
-  VerdictCache* sharedCache_ = nullptr;
+  PersistentVerdictStore* store_ = nullptr;
   std::thread::id owner_{};
   FastPathMode fastMode_ = FastPathMode::Off;
   int lastTier_ = 2;

@@ -1,7 +1,8 @@
 // Persistent-cache behavior through the driver: the randomized edit-replay
 // fuzzer (cache serving must be verdict-neutral under localized kernel
-// edits at any thread count), budget-provenance isolation, and the
-// warm-run zero-fresh-work guarantee.
+// edits at any thread count), budget-provenance and fast-path-mode
+// isolation, the record policy (starved runs never downgrade stored
+// records), and the warm-run zero-fresh-work guarantee.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -179,6 +180,70 @@ TEST(PersistentCache, WarmRunDoesZeroFreshWork) {
   // behind its first unsafe pair — on real threads, a timing-dependent
   // set on the cold run.
   expectWarmRunDoesZeroFreshWork(kernels::gfmcFusedSpec(), 4);
+}
+
+// Records carry the decision tier, and which tier decides a check depends
+// on the fast-path mode — so each mode keys its own records. Runs with the
+// fast paths off or syntactic-only, then a default run, all over one
+// store: each report must match a store-free run of its own mode, and a
+// reopened store must serve the default mode its own records.
+TEST(PersistentCache, FastPathModesNeverShareRecords) {
+  const auto spec = kernels::stencilSpec(2);
+  TempDir dir("fastpath");
+  smt::PersistentVerdictStore store(dir.path.string());
+  for (smt::FastPathMode mode :
+       {smt::FastPathMode::Off, smt::FastPathMode::Syntactic,
+        smt::FastPathMode::Full}) {
+    SCOPED_TRACE(smt::to_string(mode));
+    driver::DriverOptions plain;
+    plain.fastpath = mode;
+    driver::DriverOptions withStore = plain;
+    withStore.verdictStore = &store;
+    EXPECT_EQ(reportOf(analyzeSource(spec.source, spec.independents,
+                                     spec.dependents, withStore)),
+              reportOf(analyzeSource(spec.source, spec.independents,
+                                     spec.dependents, plain)));
+  }
+
+  smt::PersistentVerdictStore reopened(dir.path.string());
+  driver::DriverOptions warmOpts;
+  warmOpts.verdictStore = &reopened;
+  const auto warm = analyzeSource(spec.source, spec.independents,
+                                  spec.dependents, warmOpts);
+  EXPECT_EQ(reportOf(warm),
+            reportOf(analyzeSource(spec.source, spec.independents,
+                                   spec.dependents, driver::DriverOptions{})));
+  EXPECT_EQ(warm.analysis.freshSolverChecks(), 0);
+}
+
+// A budget-starved run over a store holding complete records must not
+// overwrite them: after an unlimited cold run and a budget-2 run, a third
+// unlimited run is fully warm — over the same store object and over a
+// reopened one alike.
+TEST(PersistentCache, StarvedRunNeverDowngradesStoredRecords) {
+  const auto spec = kernels::gfmcFusedSpec();
+  for (bool reopen : {false, true}) {
+    SCOPED_TRACE(reopen ? "reopened store" : "same store");
+    TempDir dir("downgrade");
+    smt::PersistentVerdictStore store(dir.path.string());
+    driver::DriverOptions unlimited;
+    unlimited.verdictStore = &store;
+    driver::DriverOptions starved = unlimited;
+    starved.solverStepBudget = 2;
+    const auto cold = analyzeSource(spec.source, spec.independents,
+                                    spec.dependents, unlimited);
+    EXPECT_GT(cold.analysis.tasksPersisted(), 0);
+    (void)analyzeSource(spec.source, spec.independents, spec.dependents,
+                        starved);
+
+    smt::PersistentVerdictStore reopened(dir.path.string());
+    if (reopen) unlimited.verdictStore = &reopened;
+    const auto warm = analyzeSource(spec.source, spec.independents,
+                                    spec.dependents, unlimited);
+    EXPECT_EQ(reportOf(warm), reportOf(cold));
+    EXPECT_EQ(warm.analysis.freshSolverChecks(), 0);
+    EXPECT_EQ(warm.analysis.tasksPersisted(), 0);
+  }
 }
 
 // Without a store the analysis must be byte-identical to the seed

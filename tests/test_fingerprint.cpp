@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -176,19 +177,37 @@ TEST(Fingerprint, EditMovesOnlyTheEditedContext) {
 }
 
 // --- persistent store durability ---
+//
+// A store memoizes every record it stores or loads, so each probe below
+// reads through a FRESH store over the directory: it exercises the disk
+// record, not the writer's memory layer.
+
+std::optional<smt::VerdictRecord> diskLoadCheck(const TempDir& dir,
+                                                const std::string& key,
+                                                long long stepLimit) {
+  smt::PersistentVerdictStore fresh(dir.path.string());
+  return fresh.loadCheck(key, stepLimit);
+}
+
+std::optional<smt::PersistentVerdictStore::TaskRecord> diskLoadTask(
+    const TempDir& dir, const std::string& key, long long stepLimit,
+    const std::string& digest) {
+  smt::PersistentVerdictStore fresh(dir.path.string());
+  return fresh.loadTask(key, stepLimit, digest);
+}
 
 TEST(DiskCache, CheckRecordRoundtripAndBudgetGuard) {
   TempDir dir("check");
   smt::PersistentVerdictStore store(dir.path.string());
   const std::string key = "!1*i#0'+-1*i#0+0;";
 
-  smt::VerdictCache::Entry complete{smt::CheckResult::Unsat, 2, true, 50};
+  smt::VerdictRecord complete{smt::CheckResult::Unsat, 2, true, 50};
   store.storeCheck(key, complete);
   // Complete verdict: served at any budget that covers its step count.
-  EXPECT_TRUE(store.loadCheck(key, 0).has_value());
-  EXPECT_TRUE(store.loadCheck(key, 50).has_value());
-  EXPECT_FALSE(store.loadCheck(key, 10).has_value());
-  auto e = store.loadCheck(key, 0);
+  EXPECT_TRUE(diskLoadCheck(dir, key, 0).has_value());
+  EXPECT_TRUE(diskLoadCheck(dir, key, 50).has_value());
+  EXPECT_FALSE(diskLoadCheck(dir, key, 10).has_value());
+  auto e = diskLoadCheck(dir, key, 0);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->result, smt::CheckResult::Unsat);
   EXPECT_EQ(e->tier, 2);
@@ -198,12 +217,65 @@ TEST(DiskCache, CheckRecordRoundtripAndBudgetGuard) {
   // Exhausted verdict: only served under a budget no larger than the one
   // that ran out — a starved Unknown must never poison an unlimited run.
   const std::string key2 = key + "x";
-  smt::VerdictCache::Entry starved{smt::CheckResult::Unknown, 2, false, 100};
+  smt::VerdictRecord starved{smt::CheckResult::Unknown, 2, false, 100};
   store.storeCheck(key2, starved);
+  EXPECT_TRUE(diskLoadCheck(dir, key2, 100).has_value());
+  EXPECT_TRUE(diskLoadCheck(dir, key2, 50).has_value());
+  EXPECT_FALSE(diskLoadCheck(dir, key2, 200).has_value());
+  EXPECT_FALSE(diskLoadCheck(dir, key2, 0).has_value());
+  // The memory layer applies the same guard.
   EXPECT_TRUE(store.loadCheck(key2, 100).has_value());
-  EXPECT_TRUE(store.loadCheck(key2, 50).has_value());
-  EXPECT_FALSE(store.loadCheck(key2, 200).has_value());
   EXPECT_FALSE(store.loadCheck(key2, 0).has_value());
+}
+
+// One record policy: memory keeps the stronger record, and only new or
+// stronger records reach the disk — a starved store never overwrites the
+// complete record another store persisted, even one it could not use.
+TEST(DiskCache, WeakerRecordsNeverOverwriteStrongerOnes) {
+  TempDir dir("policy");
+  const std::string key = "!1*i#0'+-1*i#0+0;";
+  const smt::VerdictRecord complete{smt::CheckResult::Unsat, 2, true, 50};
+  const smt::VerdictRecord starved{smt::CheckResult::Unknown, 2, false, 5};
+  {
+    smt::PersistentVerdictStore first(dir.path.string());
+    first.storeCheck(key, complete);
+  }
+  smt::PersistentVerdictStore second(dir.path.string());
+  // The starved caller cannot use the complete record (it needs 50 steps)
+  // but the load memoizes it, so the starved store() that follows keeps
+  // it and writes nothing.
+  EXPECT_FALSE(second.loadCheck(key, 5).has_value());
+  second.storeCheck(key, starved);
+  EXPECT_EQ(second.stats().checkStores, 0);
+  EXPECT_TRUE(diskLoadCheck(dir, key, 0).has_value());
+
+  // Task records follow the same policy.
+  const std::string tkey = "P|!1*i#0'+-1*i#0+0;|=1*q#0+0";
+  const std::string digest(32, 'c');
+  smt::PersistentVerdictStore::TaskRecord full;
+  full.pairSafe = true;
+  full.tiers = {2};
+  full.exhausted = {0};
+  full.steps = {40};
+  smt::PersistentVerdictStore::TaskRecord cut;
+  cut.tiers = {2, 2};
+  cut.exhausted = {1, 1};
+  cut.steps = {5, 5};
+  second.storeTask(tkey, full, digest);
+  smt::PersistentVerdictStore third(dir.path.string());
+  EXPECT_FALSE(third.loadTask(tkey, 5, digest).has_value());
+  third.storeTask(tkey, cut, digest);
+  EXPECT_EQ(third.stats().taskStores, 0);
+  EXPECT_TRUE(diskLoadTask(dir, tkey, 0, digest).has_value());
+
+  // A stronger record does replace a weaker one, in memory and on disk.
+  const std::string key2 = key + "x";
+  second.storeCheck(key2, starved);
+  EXPECT_FALSE(second.loadCheck(key2, 0).has_value());
+  second.storeCheck(key2, complete);
+  EXPECT_TRUE(second.loadCheck(key2, 0).has_value());
+  EXPECT_TRUE(diskLoadCheck(dir, key2, 0).has_value());
+  EXPECT_EQ(second.stats().checkStores, 2);
 }
 
 TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
@@ -219,7 +291,7 @@ TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
   rec.steps = {40, 1};
   store.storeTask(key, rec, digest);
 
-  auto got = store.loadTask(key, 0, digest);
+  auto got = diskLoadTask(dir, key, 0, digest);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(got->pairSafe);
   EXPECT_FALSE(got->unsat);
@@ -227,13 +299,13 @@ TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
   EXPECT_EQ(got->steps, (std::vector<long long>{40, 1}));
 
   // A different digest looks under a different file name: miss.
-  EXPECT_FALSE(store.loadTask(key, 0, std::string(32, 'b')).has_value());
+  EXPECT_FALSE(diskLoadTask(dir, key, 0, std::string(32, 'b')).has_value());
   // Same digest, different key (a simulated digest collision): the full
   // key verification rejects it — a collision costs a miss, never a wrong
   // verdict.
-  EXPECT_FALSE(store.loadTask(key + ";", 0, digest).has_value());
+  EXPECT_FALSE(diskLoadTask(dir, key + ";", 0, digest).has_value());
   // Budget guard applies to EVERY recorded check.
-  EXPECT_FALSE(store.loadTask(key, 10, digest).has_value());
+  EXPECT_FALSE(diskLoadTask(dir, key, 10, digest).has_value());
 }
 
 TEST(DiskCache, CorruptAndTruncatedFilesFallThrough) {
@@ -241,11 +313,15 @@ TEST(DiskCache, CorruptAndTruncatedFilesFallThrough) {
   smt::PersistentVerdictStore store(dir.path.string());
   const std::string key = "!1*i#0'+-1*i#0+0;";
   store.storeCheck(key, {smt::CheckResult::Unsat, 2, true, 5});
-  ASSERT_TRUE(store.loadCheck(key, 0).has_value());
+  ASSERT_TRUE(diskLoadCheck(dir, key, 0).has_value());
 
   fs::path file;
   for (const auto& e : fs::directory_iterator(dir.path)) file = e.path();
   ASSERT_FALSE(file.empty());
+  auto overwrite = [&](const std::string& bytes) {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  };
 
   // Truncate: drop the trailing "ok" terminator — a torn write.
   std::string whole;
@@ -254,31 +330,43 @@ TEST(DiskCache, CorruptAndTruncatedFilesFallThrough) {
     whole.assign(std::istreambuf_iterator<char>(in), {});
   }
   ASSERT_GT(whole.size(), 3u);
-  {
-    std::ofstream out(file, std::ios::binary | std::ios::trunc);
-    out << whole.substr(0, whole.size() - 3);
-  }
-  EXPECT_FALSE(store.loadCheck(key, 0).has_value());
+  overwrite(whole.substr(0, whole.size() - 3));
+  EXPECT_FALSE(diskLoadCheck(dir, key, 0).has_value());
 
   // Corrupt: garbage body under the right name.
-  {
-    std::ofstream out(file, std::ios::binary | std::ios::trunc);
-    out << "not a record at all";
-  }
-  EXPECT_FALSE(store.loadCheck(key, 0).has_value());
+  overwrite("not a record at all");
+  EXPECT_FALSE(diskLoadCheck(dir, key, 0).has_value());
 
   // Empty file.
-  { std::ofstream out(file, std::ios::binary | std::ios::trunc); }
-  EXPECT_FALSE(store.loadCheck(key, 0).has_value());
+  overwrite("");
+  EXPECT_FALSE(diskLoadCheck(dir, key, 0).has_value());
 
-  // Recovery: a rewrite heals the slot.
-  store.storeCheck(key, {smt::CheckResult::Unsat, 2, true, 5});
+  // A header declaring an absurd key length — huge, or 2^64-1 — is a
+  // miss, never an allocation failure: loads never throw.
+  const std::string body = key + "\nverdict unsat 2 1 5\nok\n";
+  for (const char* len : {"999999999999999", "18446744073709551615"}) {
+    SCOPED_TRACE(len);
+    overwrite(std::string("formadvc 1 c\nkey ") + len + "\n" + body);
+    std::optional<smt::VerdictRecord> got;
+    EXPECT_NO_THROW(got = diskLoadCheck(dir, key, 0));
+    EXPECT_FALSE(got.has_value());
+  }
+
+  // The writer still serves its memoized record; as it already holds it,
+  // storing it again writes nothing, so the slot stays corrupt...
   EXPECT_TRUE(store.loadCheck(key, 0).has_value());
-
+  store.storeCheck(key, {smt::CheckResult::Unsat, 2, true, 5});
+  EXPECT_FALSE(diskLoadCheck(dir, key, 0).has_value());
   const auto s = store.stats();
-  EXPECT_EQ(s.checkStores, 2);
-  EXPECT_EQ(s.checkHits, 2);
-  EXPECT_EQ(s.checkMisses, 3);
+  EXPECT_EQ(s.checkStores, 1);
+  EXPECT_EQ(s.checkMemoryHits, 1);
+
+  // ...until a store that has not seen the record rewrites and heals it.
+  {
+    smt::PersistentVerdictStore healer(dir.path.string());
+    healer.storeCheck(key, {smt::CheckResult::Unsat, 2, true, 5});
+  }
+  EXPECT_TRUE(diskLoadCheck(dir, key, 0).has_value());
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "helpers.h"
 #include "kernels/stencil.h"
 #include "smt/budget.h"
+#include "smt/diskcache.h"
 #include "smt/solver.h"
 #include "support/cancel.h"
 #include "support/diagnostics.h"
@@ -107,26 +108,37 @@ TEST(StepBudget, PollsCancelTokenPeriodically) {
       Cancelled);
 }
 
-// ------------------------------------------------------------ VerdictCache
+// ----------------------------------------------------------- VerdictRecord
 
-TEST(VerdictCacheBudget, SufficiencyGuardSemantics) {
-  using Entry = smt::VerdictCache::Entry;
+TEST(VerdictRecordBudget, SufficiencyGuardSemantics) {
+  using smt::VerdictRecord;
   // Complete verdict that consumed 10 steps: serveable to any budget that
   // could have afforded the solve.
-  Entry complete{smt::CheckResult::Unsat, 2, /*complete=*/true, /*steps=*/10};
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(complete, 0));    // unlimited
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(complete, 10));
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(complete, 1000));
-  EXPECT_FALSE(smt::VerdictCache::sufficientFor(complete, 9));
+  VerdictRecord complete{smt::CheckResult::Unsat, 2, /*complete=*/true,
+                         /*steps=*/10};
+  EXPECT_TRUE(complete.sufficientFor(0));  // unlimited
+  EXPECT_TRUE(complete.sufficientFor(10));
+  EXPECT_TRUE(complete.sufficientFor(1000));
+  EXPECT_FALSE(complete.sufficientFor(9));
 
   // Exhausted at limit 10: any limit <= 10 exhausts too (steps are
   // deterministic), but a larger or unlimited budget must re-derive.
-  Entry exhausted{smt::CheckResult::Unknown, 2, /*complete=*/false,
-                  /*steps=*/10};
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(exhausted, 10));
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(exhausted, 5));
-  EXPECT_FALSE(smt::VerdictCache::sufficientFor(exhausted, 11));
-  EXPECT_FALSE(smt::VerdictCache::sufficientFor(exhausted, 0));  // unlimited
+  VerdictRecord exhausted{smt::CheckResult::Unknown, 2, /*complete=*/false,
+                          /*steps=*/10};
+  EXPECT_TRUE(exhausted.sufficientFor(10));
+  EXPECT_TRUE(exhausted.sufficientFor(5));
+  EXPECT_FALSE(exhausted.sufficientFor(11));
+  EXPECT_FALSE(exhausted.sufficientFor(0));  // unlimited
+
+  // The upgrade rule: complete beats exhausted, a larger exhaustion limit
+  // beats a smaller one, and nothing beats a complete record.
+  VerdictRecord exhaustedLater = exhausted;
+  exhaustedLater.steps = 20;
+  EXPECT_TRUE(complete.upgrades(exhausted));
+  EXPECT_TRUE(exhaustedLater.upgrades(exhausted));
+  EXPECT_FALSE(exhausted.upgrades(exhaustedLater));
+  EXPECT_FALSE(exhausted.upgrades(complete));
+  EXPECT_FALSE(complete.upgrades(complete));
 }
 
 /// A conjunction whose full solve needs several pivot steps and is truly
@@ -143,26 +155,26 @@ void addChain(smt::Solver& s, const std::vector<smt::AtomId>& v) {
                        LinExpr(Rational(10))));
 }
 
-TEST(VerdictCacheBudget, ExhaustedEntryNeverPoisonsLargerBudget) {
+TEST(VerdictStoreBudget, ExhaustedRecordNeverPoisonsLargerBudget) {
   smt::AtomTable atoms;
   std::vector<smt::AtomId> v;
   for (int k = 0; k < 4; ++k)
     v.push_back(atoms.internVar("v" + std::to_string(k), 0, false));
-  smt::VerdictCache cache;
+  smt::PersistentVerdictStore store("");
 
   // Starved solver: one step is not enough for the pivot chain.
   smt::Solver starved(atoms);
-  starved.attachCache(&cache);
+  starved.attachStore(&store);
   starved.setStepBudget(1);
   addChain(starved, v);
   EXPECT_EQ(starved.check(), smt::CheckResult::Unknown);
   EXPECT_TRUE(starved.lastCheckBudgetExhausted());
   EXPECT_EQ(starved.stats().budgetExhausted, 1);
 
-  // Unlimited solver over the same cache and conjunction: the exhausted
-  // entry is budget-insufficient, so it re-derives the real verdict.
+  // Unlimited solver over the same store and conjunction: the exhausted
+  // record is budget-insufficient, so it re-derives the real verdict.
   smt::Solver full(atoms);
-  full.attachCache(&cache);
+  full.attachStore(&store);
   addChain(full, v);
   EXPECT_EQ(full.check(), smt::CheckResult::Unsat);
   EXPECT_FALSE(full.lastCheckBudgetExhausted());
@@ -171,35 +183,38 @@ TEST(VerdictCacheBudget, ExhaustedEntryNeverPoisonsLargerBudget) {
   // unlimited solver now hits the upgraded complete verdict — either way
   // the answers match what each budget would derive on its own.
   smt::Solver starved2(atoms);
-  starved2.attachCache(&cache);
+  starved2.attachStore(&store);
   starved2.setStepBudget(1);
   addChain(starved2, v);
   EXPECT_EQ(starved2.check(), smt::CheckResult::Unknown);
   EXPECT_TRUE(starved2.lastCheckBudgetExhausted());
 
   smt::Solver full2(atoms);
-  full2.attachCache(&cache);
+  full2.attachStore(&store);
   addChain(full2, v);
   EXPECT_EQ(full2.check(), smt::CheckResult::Unsat);
 }
 
-TEST(SolverBudget, PrivateCacheHonorsTheSameGuard) {
+TEST(SolverBudget, OneSolverOverAStoreHonorsTheSameGuard) {
   smt::AtomTable atoms;
   std::vector<smt::AtomId> v;
   for (int k = 0; k < 4; ++k)
     v.push_back(atoms.internVar("v" + std::to_string(k), 0, false));
 
-  // One solver, no shared cache: starve a check, then lift the budget.
-  // The private verdict map must re-derive instead of replaying Unknown.
+  // One solver over a store: starve a check, then lift the budget. The
+  // stored exhausted record must be re-derived, not replayed as Unknown.
+  smt::PersistentVerdictStore store("");
   smt::Solver s(atoms);
+  s.attachStore(&store);
   s.setStepBudget(1);
   addChain(s, v);
   EXPECT_EQ(s.check(), smt::CheckResult::Unknown);
   EXPECT_TRUE(s.lastCheckBudgetExhausted());
   s.setStepBudget(0);
   EXPECT_EQ(s.check(), smt::CheckResult::Unsat);
-  // And the upgraded complete entry now serves the unlimited re-check.
+  // And the upgraded complete record now serves the unlimited re-check.
   EXPECT_EQ(s.check(), smt::CheckResult::Unsat);
+  EXPECT_EQ(s.stats().cacheHits, 1);
 }
 
 // ---------------------------------------------------------------- WorkPool

@@ -443,10 +443,14 @@ TEST(ServerGovernance, StarvedRequestDegradesOnlyItself) {
 TEST(ServerGovernance, InjectedFaultsStayPerRequest) {
   const kernels::KernelSpec spec = kernels::stencilSpec(2);
   const std::string clean = analyzeFrame(spec, R"({"fastpath":"off"})");
+  // The sequential faulted requests run serially: only at width 1 is the
+  // faulting check the first one replay reads (see smt::FaultInject).
+  const std::string serialUnknownFault = analyzeFrame(
+      spec, R"({"fastpath":"off","fault_unknown_at":1,"threads":1})");
+  const std::string serialThrowFault = analyzeFrame(
+      spec, R"({"fastpath":"off","fault_throw_at":1,"threads":1})");
   const std::string unknownFault =
       analyzeFrame(spec, R"({"fastpath":"off","fault_unknown_at":1})");
-  const std::string throwFault =
-      analyzeFrame(spec, R"({"fastpath":"off","fault_throw_at":1})");
 
   std::string reference;
   {
@@ -464,12 +468,12 @@ TEST(ServerGovernance, InjectedFaultsStayPerRequest) {
 
   // The injected-Unknown request answers ok but degraded (the forced
   // Unknown surfaces like a budget-exhausted check)...
-  JsonValue degraded = parse(daemon.process(unknownFault));
+  JsonValue degraded = parse(daemon.process(serialUnknownFault));
   EXPECT_TRUE(okOf(degraded));
   EXPECT_GT(
       degraded.find("governance")->find("budget_exhausted")->asInt(), 0);
   // ...and the injected-throw request fails alone, with a typed error.
-  JsonValue thrown = parse(daemon.process(throwFault));
+  JsonValue thrown = parse(daemon.process(serialThrowFault));
   EXPECT_FALSE(okOf(thrown));
   EXPECT_EQ(errorCodeOf(thrown), "kernel_error");
 
@@ -499,6 +503,27 @@ TEST(ServerGovernance, InjectedFaultsStayPerRequest) {
     AnalysisServer daemon2(fresh);
     EXPECT_EQ(deterministicPart(daemon2.process(clean)), reference);
   }
+}
+
+// Stored records carry decision tiers, which depend on the fast-path mode:
+// a "fastpath":"off" request must not leak its tier attributions into a
+// later default request through the daemon's shared store.
+TEST(ServerGovernance, FastPathModeNeverLeaksAcrossRequests) {
+  const kernels::KernelSpec spec = kernels::stencilSpec(2);
+  const std::string plain = analyzeFrame(spec);
+  std::string reference;
+  {
+    ServeOptions opts;
+    opts.sessions = 1;
+    AnalysisServer fresh(opts);
+    reference = deterministicPart(fresh.process(plain));
+  }
+  ServeOptions opts;
+  opts.sessions = 1;
+  AnalysisServer daemon(opts);
+  EXPECT_TRUE(okOf(parse(
+      daemon.process(analyzeFrame(spec, R"({"fastpath":"off"})")))));
+  EXPECT_EQ(deterministicPart(daemon.process(plain)), reference);
 }
 
 // ---------------------------------------------------------------------------

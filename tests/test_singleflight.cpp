@@ -139,8 +139,8 @@ TEST(SharedPool, PriorityIsClampedToValidClasses) {
 // ---------------------------------------------------------------------------
 // Single-flight registry, store level.
 
-smt::VerdictCache::Entry unsatEntry() {
-  smt::VerdictCache::Entry e;
+smt::VerdictRecord unsatEntry() {
+  smt::VerdictRecord e;
   e.result = smt::CheckResult::Unsat;
   e.tier = 2;
   e.complete = true;
@@ -149,14 +149,14 @@ smt::VerdictCache::Entry unsatEntry() {
 }
 
 TEST(SingleFlight, JoinerIsServedTheWinnersPublishedVerdict) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store("");
   const std::string key = "conj|a=b";
 
   auto winner = store.claimCheck(key, 0, nullptr);
   ASSERT_FALSE(winner.served.has_value());
   ASSERT_TRUE(winner.claim.owned());
 
-  std::optional<smt::VerdictCache::Entry> joined;
+  std::optional<smt::VerdictRecord> joined;
   std::thread joiner([&] {
     auto c = store.claimCheck(key, 0, nullptr);
     // Whether this thread blocked on the claim or probed after the publish
@@ -178,7 +178,7 @@ TEST(SingleFlight, JoinerIsServedTheWinnersPublishedVerdict) {
 }
 
 TEST(SingleFlight, FailedWinnerUnclaimsAndAJoinerRecomputes) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store("");
   const std::string key = "conj|fails";
 
   std::optional<smt::PersistentVerdictStore::CheckClaim> winner(
@@ -208,7 +208,7 @@ TEST(SingleFlight, FailedWinnerUnclaimsAndAJoinerRecomputes) {
 }
 
 TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store("");
   const std::string key = "conj|starved";
 
   auto winner = store.claimCheck(key, /*stepLimit=*/5, nullptr);
@@ -224,7 +224,7 @@ TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
     EXPECT_FALSE(c.served.has_value());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  smt::VerdictCache::Entry starved;
+  smt::VerdictRecord starved;
   starved.result = smt::CheckResult::Unknown;
   starved.tier = 2;
   starved.complete = false;
@@ -239,7 +239,7 @@ TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
 }
 
 TEST(SingleFlight, WaitingJoinerHonorsCancellation) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store("");
   const std::string key = "conj|stalled";
   auto winner = store.claimCheck(key, 0, nullptr);
   ASSERT_TRUE(winner.claim.owned());
@@ -255,7 +255,7 @@ TEST(SingleFlight, WaitingJoinerHonorsCancellation) {
 }
 
 TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store("");
   const std::string key = "task|base+probes";
   const std::string digest = "0123456789abcdef0123456789abcdef";
 
@@ -309,7 +309,7 @@ Analyzed analyzeStencil(smt::PersistentVerdictStore* store) {
 
 TEST(SingleFlight, ConcurrentIdenticalAnalysesDoOneColdRunOfFreshWork) {
   // Reference: one serial cold run on a private store.
-  smt::PersistentVerdictStore refStore("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore refStore("");
   const Analyzed ref = analyzeStencil(&refStore);
   const std::string refReport = reportOf(ref);
   const long long uniqueTasks = ref.analysis.tasksPersisted();
@@ -318,7 +318,7 @@ TEST(SingleFlight, ConcurrentIdenticalAnalysesDoOneColdRunOfFreshWork) {
   ASSERT_GT(uniqueChecks, 0);
 
   // 8 threads race the identical analysis against one cold shared store.
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store("");
   constexpr int kRuns = 8;
   std::vector<Analyzed> runs(kRuns);
   std::vector<std::thread> threads;

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "smt/diskcache.h"
 #include "smt/fastpath.h"
 #include "smt/solver.h"
 #include "support/diagnostics.h"
@@ -125,11 +126,15 @@ TEST(Lia, GcdIntegerInfeasibility) {
 
 // ---------------------------------------------------------------- Solver
 
+// The fixture's solver caches through a memory-only verdict store, the
+// way the analyses attach one.
 class SolverTest : public ::testing::Test {
  protected:
+  SolverTest() { solver.attachStore(&store); }
   AtomTable atoms;
   AtomId i = atoms.internVar("i", 0, false);
   AtomId ip = atoms.internVar("i", 0, true);
+  PersistentVerdictStore store{""};
   Solver solver{atoms};
 };
 
@@ -407,7 +412,7 @@ TEST_F(SolverTest, UndecidedLeStillDetectsIntervalConflicts) {
 
 // -------------------------------------------------- Stats counters
 
-TEST_F(SolverTest, VerdictCacheCountsHits) {
+TEST_F(SolverTest, StoreCountsHits) {
   solver.add(Constraint::ne(LinExpr::atom(i), LinExpr::atom(ip)));
   EXPECT_EQ(solver.check(), CheckResult::Sat);
   EXPECT_EQ(solver.stats().cacheHits, 0);
@@ -756,11 +761,9 @@ TEST_F(SolverTest, CacheNeverServesStaleScopedVerdict) {
   EXPECT_EQ(solver.stats().cacheHits, hitsBefore + 1);
 }
 
-// The same property through a shared VerdictCache (the concurrent cache
-// worker solvers attach during parallel exploitation).
-TEST_F(SolverTest, SharedCacheNeverServesStaleScopedVerdict) {
-  VerdictCache cache;
-  solver.attachCache(&cache);
+// The same property across solvers sharing one store (as the worker
+// solvers of a parallel exploitation do).
+TEST_F(SolverTest, SharedStoreNeverServesStaleScopedVerdict) {
   solver.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
   ASSERT_EQ(solver.check(), CheckResult::Sat);
   solver.push();
@@ -769,10 +772,10 @@ TEST_F(SolverTest, SharedCacheNeverServesStaleScopedVerdict) {
   solver.pop();
   EXPECT_EQ(solver.check(), CheckResult::Sat);
 
-  // A second solver over the same AtomTable replays all three verdicts
-  // from the shared cache without solving.
+  // A second solver over the same store replays all three verdicts
+  // without solving.
   Solver other(atoms);
-  other.attachCache(&cache);
+  other.attachStore(&store);
   other.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
   EXPECT_EQ(other.check(), CheckResult::Sat);
   other.push();
@@ -800,7 +803,8 @@ TEST_F(SolverTest, StackKeyIsOrderIndependent) {
 // sequences — drawing from a small pool so duplicates are frequent, mixing
 // pre-keyed and self-keyed adds, and attaching an absint salt part way —
 // must keep stackKey() byte-equal to the from-scratch conjunctionKey of the
-// live keys after every step.
+// live keys after every step, behind the key-space prefixes of the
+// round's fast-path mode (none for Full) and the salt.
 TEST(SolverStackKey, IncrementalKeyMatchesConjunctionKey) {
   AtomTable atoms;
   std::vector<AtomId> vars;
@@ -821,8 +825,12 @@ TEST(SolverStackKey, IncrementalKeyMatchesConjunctionKey) {
   AbsintHints hints;
   hints.salt = 0x0123456789abcdefULL;
   std::mt19937 rng(1234);
+  const FastPathMode modes[] = {FastPathMode::Full, FastPathMode::Off,
+                                FastPathMode::Syntactic};
   for (int round = 0; round < 6; ++round) {
     Solver solver(atoms);
+    const FastPathMode mode = modes[round % 3];
+    solver.setFastPathMode(mode);
     const int saltAt = round % 2 == 1 ? static_cast<int>(rng() % 300) : -1;
     std::vector<std::string> live;
     std::vector<size_t> marks;
@@ -857,6 +865,8 @@ TEST(SolverStackKey, IncrementalKeyMatchesConjunctionKey) {
                       static_cast<unsigned long long>(hints.salt));
         want.insert(0, prefix);
       }
+      if (mode != FastPathMode::Full)
+        want.insert(0, "fastpath:" + to_string(mode) + ";");
       ASSERT_EQ(solver.stackKey(), want) << "round " << round << " step "
                                          << step;
       ASSERT_EQ(solver.assertionCount(), live.size());
@@ -864,21 +874,45 @@ TEST(SolverStackKey, IncrementalKeyMatchesConjunctionKey) {
   }
 }
 
-// A VerdictCache is bound to the AtomTable of the first solver that
-// attaches; keys are AtomId-based, so sharing across tables would alias
-// unrelated constraints. The second attach must be rejected loudly.
-TEST(VerdictCacheTest, RejectsSharingAcrossAtomTables) {
+// Keys are content fingerprints, so solvers over different atom tables
+// share one store: a conjunction built by interning the same atoms in the
+// opposite order is served, and an unrelated one is not.
+TEST(VerdictStoreTest, SharesVerdictsAcrossAtomTables) {
+  PersistentVerdictStore store("");
   AtomTable t1, t2;
-  (void)t1.internVar("i", 0, false);
-  (void)t2.internVar("j", 0, false);
-  VerdictCache cache;
-  Solver s1(t1);
-  s1.attachCache(&cache);
-  Solver s2(t2);
-  EXPECT_THROW(s2.attachCache(&cache), Error);
-  // Re-attaching a solver over the SAME table is fine.
-  Solver s3(t1);
-  s3.attachCache(&cache);
+  const AtomId i1 = t1.internVar("i", 0, false);
+  const AtomId ip1 = t1.internVar("i", 0, true);
+  const AtomId ip2 = t2.internVar("i", 0, true);
+  const AtomId i2 = t2.internVar("i", 0, false);
+  Solver s1(t1), s2(t2);
+  s1.attachStore(&store);
+  s2.attachStore(&store);
+  s1.add(Constraint::ne(LinExpr::atom(ip1), LinExpr::atom(i1)));
+  s1.add(Constraint::eq(LinExpr::atom(ip1), LinExpr::atom(i1)));
+  EXPECT_EQ(s1.check(), CheckResult::Unsat);
+  s2.add(Constraint::eq(LinExpr::atom(ip2), LinExpr::atom(i2)));
+  s2.add(Constraint::ne(LinExpr::atom(ip2), LinExpr::atom(i2)));
+  EXPECT_EQ(s2.check(), CheckResult::Unsat);
+  EXPECT_EQ(s2.stats().cacheHits, 1);
+  s2.push();
+  s2.add(Constraint::eq(LinExpr::atom(i2), LinExpr(Rational(0))));
+  EXPECT_EQ(s2.check(), CheckResult::Unsat);
+  EXPECT_EQ(s2.stats().cacheHits, 1);
+  s2.pop();
+}
+
+// A solver without a store decides every check: nothing is served, even
+// for a stack it has just decided.
+TEST(VerdictStoreTest, NoStoreDecidesEveryCheck) {
+  AtomTable atoms;
+  const AtomId i = atoms.internVar("i", 0, false);
+  const AtomId ip = atoms.internVar("i", 0, true);
+  Solver solver(atoms);
+  solver.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
+  EXPECT_EQ(solver.check(), CheckResult::Sat);
+  EXPECT_EQ(solver.check(), CheckResult::Sat);
+  EXPECT_EQ(solver.stats().checks, 2);
+  EXPECT_EQ(solver.stats().cacheHits, 0);
 }
 
 // Solvers are thread-confined: the first add/check binds the owner thread,
@@ -909,23 +943,21 @@ TEST_F(SolverTest, ThreadConfinementIsEnforcedAndResetReleases) {
   EXPECT_EQ(fromWorker, CheckResult::Sat);
 }
 
-// The shared cache itself is safe under concurrent store/lookup: hammer
-// one cache from several threads over disjoint and overlapping keys.
-TEST(VerdictCacheTest, ConcurrentStoresAndLookupsAreConsistent) {
+// The shared store itself is safe under concurrent store/lookup: hammer
+// one store from several threads over disjoint and overlapping keys.
+TEST(VerdictStoreTest, ConcurrentStoresAndLookupsAreConsistent) {
   AtomTable table;
   std::vector<AtomId> vars;
   for (int v = 0; v < 8; ++v)
     vars.push_back(table.internVar("v" + std::to_string(v), 0, false));
-  VerdictCache cache;
-  Solver binder(table);
-  binder.attachCache(&cache);
+  PersistentVerdictStore store("");
 
   std::vector<std::thread> threads;
   std::atomic<int> disagreements{0};
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       Solver s(table);
-      s.attachCache(&cache);
+      s.attachStore(&store);
       for (int round = 0; round < 50; ++round) {
         const int v = (t + round) % 8;
         s.push();
@@ -945,8 +977,9 @@ TEST(VerdictCacheTest, ConcurrentStoresAndLookupsAreConsistent) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(disagreements.load(), 0);
-  EXPECT_GT(cache.hits(), 0);
-  EXPECT_GT(cache.size(), 0u);
+  const auto stats = store.stats();
+  EXPECT_GT(stats.checkHits, 0);
+  EXPECT_GT(stats.checkStores, 0);
 }
 
 }  // namespace
