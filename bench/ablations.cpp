@@ -26,8 +26,10 @@
 #include "kernels/lbm.h"
 #include "kernels/stencil.h"
 #include "parser/parser.h"
+#include "server/protocol.h"
 
 using namespace formad;
+using server::JsonValue;
 
 namespace {
 
@@ -108,7 +110,7 @@ int main() {
 
   std::cout << "\n### FormAD ablations (verdicts and query counts)\n\n";
   driver::Table table({"kernel", "variant", "result", "tier-2"});
-  bench::Json rows = bench::Json::array();
+  JsonValue rows = JsonValue::array();
   for (const auto& c : cases) {
     auto kernel = parser::parseKernel(c.spec.source);
     for (const auto& v : variants) {
@@ -119,18 +121,18 @@ int main() {
       int safe = 0, unsafe = 0;
       for (const auto& r : a.regions)
         for (const auto& var : r.vars) (var.safe ? safe : unsafe)++;
-      bench::Json row = bench::Json::object();
-      row.set("kernel", bench::Json::str(c.name));
-      row.set("variant", bench::Json::str(v.name));
-      row.set("safe_vars", bench::Json::integer(safe));
-      row.set("unsafe_vars", bench::Json::integer(unsafe));
-      row.set("model_size", bench::Json::integer(a.modelAssertions()));
-      row.set("tiers", bench::tierCountsJson(a));
+      JsonValue row = JsonValue::object();
+      row.set("kernel", JsonValue::str(c.name));
+      row.set("variant", JsonValue::str(v.name));
+      row.set("safe_vars", JsonValue::integer(safe));
+      row.set("unsafe_vars", JsonValue::integer(unsafe));
+      row.set("model_size", JsonValue::integer(a.modelAssertions()));
+      row.set("tiers", server::tierCountsJson(a));
       rows.push(std::move(row));
     }
   }
   {
-    bench::Json body = bench::Json::object();
+    JsonValue body = JsonValue::object();
     body.set("rows", std::move(rows));
     bench::writeBenchFile("ablations", body);
   }

@@ -37,8 +37,10 @@
 #include "kernels/greengauss.h"
 #include "kernels/stencil.h"
 #include "parser/parser.h"
+#include "server/protocol.h"
 
 using namespace formad;
+using server::JsonValue;
 
 namespace {
 
@@ -81,9 +83,11 @@ ThreadScaling scaleConfig(const std::string& name,
   std::vector<std::vector<double>> regionTasks;
   double profileCost = 0.0;
   for (int threads : kThreads) {
+    driver::DriverOptions opts;
+    opts.analysisThreads = threads;
     for (int rep = 0; rep < reps; ++rep) {
       auto a = driver::analyze(*kernel, spec.independents, spec.dependents,
-                               threads);
+                               opts);
       double wall = a.analysisSeconds();
       if (!out.measuredWall.count(threads) ||
           wall < out.measuredWall[threads])
@@ -135,11 +139,13 @@ FastPathPoint fastpathConfig(const std::string& name,
   p.config = name;
   auto kernel = parser::parseKernel(spec.source);
   auto best = [&](smt::FastPathMode mode, double& wall) {
+    driver::DriverOptions opts;
+    opts.analysisThreads = 1;
+    opts.fastpath = mode;
     core::KernelAnalysis a;
     wall = -1;
     for (int rep = 0; rep < reps; ++rep) {
-      a = driver::analyze(*kernel, spec.independents, spec.dependents,
-                          /*analysisThreads=*/1, mode);
+      a = driver::analyze(*kernel, spec.independents, spec.dependents, opts);
       double s = a.analysisSeconds();
       if (wall < 0 || s < wall) wall = s;
     }
@@ -157,15 +163,18 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 2 : 5;
 
   std::cout << "\n### Analysis scaling over stencil radius (e = radius + 1)\n\n";
-  bench::Json radiusRows = bench::Json::array();
+  JsonValue radiusRows = JsonValue::array();
   driver::Table t({"radius", "exprs e", "model size", "1+e^2", "queries",
                    "tier-2", "time [ms]", "verdict"});
   std::vector<int> radii = smoke ? std::vector<int>{1, 2, 4}
                                  : std::vector<int>{1, 2, 4, 8, 12, 16, 24};
+  driver::DriverOptions serial;
+  serial.analysisThreads = 1;
   for (int radius : radii) {
     auto spec = kernels::stencilSpec(radius);
     auto kernel = parser::parseKernel(spec.source);
-    auto a = driver::analyze(*kernel, spec.independents, spec.dependents);
+    auto a =
+        driver::analyze(*kernel, spec.independents, spec.dependents, serial);
     bool safe = true;
     for (const auto& r : a.regions) safe = safe && r.allSafe();
     int e = a.uniqueExprs();
@@ -175,13 +184,13 @@ int main(int argc, char** argv) {
               std::to_string(a.tier2Checks()),
               driver::fmt(a.analysisSeconds() * 1e3, 2),
               safe ? "safe" : "rejected"});
-    bench::Json row = bench::Json::object();
-    row.set("radius", bench::Json::integer(radius));
-    row.set("exprs", bench::Json::integer(e));
-    row.set("model_size", bench::Json::integer(a.modelAssertions()));
-    row.set("seconds", bench::Json::num(a.analysisSeconds()));
-    row.set("safe", bench::Json::boolean(safe));
-    row.set("tiers", bench::tierCountsJson(a));
+    JsonValue row = JsonValue::object();
+    row.set("radius", JsonValue::integer(radius));
+    row.set("exprs", JsonValue::integer(e));
+    row.set("model_size", JsonValue::integer(a.modelAssertions()));
+    row.set("seconds", JsonValue::number(a.analysisSeconds()));
+    row.set("safe", JsonValue::boolean(safe));
+    row.set("tiers", server::tierCountsJson(a));
     radiusRows.push(std::move(row));
   }
   std::cout << t.str()
@@ -249,19 +258,19 @@ int main(int argc, char** argv) {
                "solver. The tiered deciders retire the bulk of them\n"
                "syntactically or with GCD/stride/interval arithmetic.\n\n";
 
-  bench::Json scalingRows = bench::Json::array();
+  JsonValue scalingRows = JsonValue::array();
   for (const auto& s : scaling) {
-    bench::Json row = bench::Json::object();
-    row.set("config", bench::Json::str(s.config));
-    row.set("tasks", bench::Json::integer(static_cast<long long>(s.tasks)));
-    row.set("plan_seconds", bench::Json::num(s.planSeconds));
-    row.set("task_seconds_total", bench::Json::num(s.taskSecondsTotal));
-    bench::Json wall = bench::Json::object(), sim = bench::Json::object(),
-                q = bench::Json::object();
+    JsonValue row = JsonValue::object();
+    row.set("config", JsonValue::str(s.config));
+    row.set("tasks", JsonValue::integer(static_cast<long long>(s.tasks)));
+    row.set("plan_seconds", JsonValue::number(s.planSeconds));
+    row.set("task_seconds_total", JsonValue::number(s.taskSecondsTotal));
+    JsonValue wall = JsonValue::object(), sim = JsonValue::object(),
+              q = JsonValue::object();
     for (int th : kThreads) {
-      wall.set(std::to_string(th), bench::Json::num(s.measuredWall.at(th)));
-      sim.set(std::to_string(th), bench::Json::num(s.simulatedSpeedup.at(th)));
-      q.set(std::to_string(th), bench::Json::num(s.querySpeedup.at(th)));
+      wall.set(std::to_string(th), JsonValue::number(s.measuredWall.at(th)));
+      sim.set(std::to_string(th), JsonValue::number(s.simulatedSpeedup.at(th)));
+      q.set(std::to_string(th), JsonValue::number(s.querySpeedup.at(th)));
     }
     row.set("measured_wall_seconds", std::move(wall));
     row.set("simulated_speedup", std::move(sim));
@@ -269,25 +278,25 @@ int main(int argc, char** argv) {
     scalingRows.push(std::move(row));
   }
 
-  bench::Json fastpathRows = bench::Json::array();
+  JsonValue fastpathRows = JsonValue::array();
   for (const auto& p : fastpath) {
-    bench::Json row = bench::Json::object();
-    row.set("config", bench::Json::str(p.config));
-    row.set("off", bench::Json::object()
-                       .set("tiers", bench::tierCountsJson(p.off))
-                       .set("wall_seconds", bench::Json::num(p.wallOff)));
-    row.set("full", bench::Json::object()
-                        .set("tiers", bench::tierCountsJson(p.full))
-                        .set("wall_seconds", bench::Json::num(p.wallFull)));
+    JsonValue row = JsonValue::object();
+    row.set("config", JsonValue::str(p.config));
+    row.set("off", JsonValue::object()
+                       .set("tiers", server::tierCountsJson(p.off))
+                       .set("wall_seconds", JsonValue::number(p.wallOff)));
+    row.set("full", JsonValue::object()
+                        .set("tiers", server::tierCountsJson(p.full))
+                        .set("wall_seconds", JsonValue::number(p.wallFull)));
     row.set("tier2_reduction",
-            bench::Json::num(
+            JsonValue::number(
                 static_cast<double>(p.off.tier2Checks()) /
                 static_cast<double>(std::max(1LL, p.full.tier2Checks()))));
     fastpathRows.push(std::move(row));
   }
 
-  bench::Json body = bench::Json::object();
-  body.set("smoke", bench::Json::boolean(smoke));
+  JsonValue body = JsonValue::object();
+  body.set("smoke", JsonValue::boolean(smoke));
   body.set("radius_sweep", std::move(radiusRows));
   body.set("thread_scaling", std::move(scalingRows));
   body.set("fastpath_comparison", std::move(fastpathRows));

@@ -4,124 +4,18 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "driver/driver.h"
 #include "driver/report.h"
 #include "parser/parser.h"
-#include "support/diagnostics.h"
 
 namespace formad::bench {
 
-Json Json::num(double v) {
-  Json j;
-  j.kind_ = Kind::Num;
-  j.num_ = v;
-  return j;
-}
+using server::JsonValue;
 
-Json Json::integer(long long v) {
-  Json j;
-  j.kind_ = Kind::Int;
-  j.int_ = v;
-  return j;
-}
-
-Json Json::boolean(bool v) {
-  Json j;
-  j.kind_ = Kind::Bool;
-  j.bool_ = v;
-  return j;
-}
-
-Json Json::str(std::string s) {
-  Json j;
-  j.kind_ = Kind::Str;
-  j.str_ = std::move(s);
-  return j;
-}
-
-Json Json::array() {
-  Json j;
-  j.kind_ = Kind::Array;
-  return j;
-}
-
-Json Json::object() {
-  Json j;
-  j.kind_ = Kind::Object;
-  return j;
-}
-
-Json& Json::push(Json v) {
-  FORMAD_ASSERT(kind_ == Kind::Array, "Json::push on a non-array");
-  elems_.push_back(std::move(v));
-  return *this;
-}
-
-Json& Json::set(const std::string& key, Json v) {
-  FORMAD_ASSERT(kind_ == Kind::Object, "Json::set on a non-object");
-  for (auto& [k, old] : members_) {
-    if (k == key) {
-      old = std::move(v);
-      return *this;
-    }
-  }
-  members_.emplace_back(key, std::move(v));
-  return *this;
-}
-
-std::string Json::dump(int indent) const {
-  auto quoted = [](const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out + "\"";
-  };
-  switch (kind_) {
-    case Kind::Null:
-      return "null";
-    case Kind::Num: {
-      std::ostringstream os;
-      os << num_;
-      return os.str();
-    }
-    case Kind::Int:
-      return std::to_string(int_);
-    case Kind::Bool:
-      return bool_ ? "true" : "false";
-    case Kind::Str:
-      return quoted(str_);
-    case Kind::Array: {
-      if (elems_.empty()) return "[]";
-      const std::string pad(static_cast<size_t>(indent), ' ');
-      std::string out = "[\n";
-      for (size_t i = 0; i < elems_.size(); ++i) {
-        out += pad + "  " + elems_[i].dump(indent + 2);
-        out += i + 1 < elems_.size() ? ",\n" : "\n";
-      }
-      return out + pad + "]";
-    }
-    case Kind::Object: {
-      if (members_.empty()) return "{}";
-      const std::string pad(static_cast<size_t>(indent), ' ');
-      std::string out = "{\n";
-      for (size_t i = 0; i < members_.size(); ++i) {
-        out += pad + "  " + quoted(members_[i].first) + ": " +
-               members_[i].second.dump(indent + 2);
-        out += i + 1 < members_.size() ? ",\n" : "\n";
-      }
-      return out + pad + "}";
-    }
-  }
-  return "null";
-}
-
-void writeBenchFile(const std::string& name, const Json& body) {
-  Json root = Json::object();
-  root.set("benchmark", Json::str(name));
+void writeBenchFile(const std::string& name, const JsonValue& body) {
+  JsonValue root = JsonValue::object();
+  root.set("benchmark", JsonValue::str(name));
   // v2: adds the optional persistent-cache members (cacheCountsJson) and
   // the incremental-reanalysis bench file. Existing members are unchanged,
   // so v1 consumers only need to ignore unknown keys.
@@ -130,37 +24,16 @@ void writeBenchFile(const std::string& name, const Json& body) {
   // Again purely additive: v2 consumers ignore the new keys.
   // v4: cache objects drop memory_hits/disk_hits/disk_stores; store-level
   // IO counts are PersistentVerdictStore::Stats (BENCH_serve.json).
-  root.set("schema_version", Json::integer(4));
+  // v5: written by server::JsonValue, so the file is one line of strict
+  // JSON (doubles keep 17 significant digits, NaN/Inf become null), and
+  // cache objects are the daemon's (server::cacheCountsJson: adds
+  // tasks_joined and tasks_skipped) plus task_hit_rate.
+  root.set("schema_version", JsonValue::integer(5));
   for (const auto& [k, v] : body.members()) root.set(k, v);
   const std::string file = "BENCH_" + name + ".json";
   std::ofstream out(file);
   out << root.dump() << "\n";
   std::cout << "wrote " << file << "\n";
-}
-
-Json tierCountsJson(const core::KernelAnalysis& a) {
-  Json t = Json::object();
-  t.set("queries", Json::integer(a.queries()));
-  t.set("tier0", Json::integer(a.tier0Hits()));
-  t.set("tier1", Json::integer(a.tier1Hits()));
-  t.set("tier2", Json::integer(a.tier2Checks()));
-  t.set("cached", Json::integer(a.cacheHits()));
-  t.set("absint_facts", Json::integer(a.absintFacts()));
-  return t;
-}
-
-Json cacheCountsJson(const core::KernelAnalysis& a) {
-  Json c = Json::object();
-  c.set("tasks_spliced", Json::integer(a.tasksSpliced()));
-  c.set("tasks_persisted", Json::integer(a.tasksPersisted()));
-  c.set("fresh_solver_checks", Json::integer(a.freshSolverChecks()));
-  c.set("fresh_tier2_solves", Json::integer(a.freshTier2Solves()));
-  const long long tasks = a.tasksSpliced() + a.tasksPersisted();
-  c.set("task_hit_rate", Json::num(tasks > 0 ? static_cast<double>(
-                                                   a.tasksSpliced()) /
-                                                   static_cast<double>(tasks)
-                                             : 0.0));
-  return c;
 }
 
 using driver::AdjointMode;
@@ -369,40 +242,40 @@ void printFigure(const FigureSetup& setup, const FigureResult& result) {
 
 void writeBenchJson(const FigureSetup& setup, const FigureResult& result) {
   if (setup.name.empty()) return;
-  Json body = Json::object();
-  body.set("repetitions", Json::num(setup.repetitions));
-  Json threads = Json::array();
-  for (int t : setup.threads) threads.push(Json::integer(t));
+  JsonValue body = JsonValue::object();
+  body.set("repetitions", JsonValue::number(setup.repetitions));
+  JsonValue threads = JsonValue::array();
+  for (int t : setup.threads) threads.push(JsonValue::integer(t));
   body.set("threads", std::move(threads));
 
-  Json simulated = Json::array();
+  JsonValue simulated = JsonValue::array();
   for (const std::string& v : result.versions) {
-    Json e = Json::object();
-    e.set("version", Json::str(v));
-    e.set("mode", Json::str("simulated"));
-    e.set("serial_seconds", Json::num(result.serialSeconds.at(v)));
-    Json ps = Json::object();
+    JsonValue e = JsonValue::object();
+    e.set("version", JsonValue::str(v));
+    e.set("mode", JsonValue::str("simulated"));
+    e.set("serial_seconds", JsonValue::number(result.serialSeconds.at(v)));
+    JsonValue ps = JsonValue::object();
     for (int t : setup.threads)
-      ps.set(std::to_string(t), Json::num(result.seconds.at(v).at(t)));
+      ps.set(std::to_string(t), JsonValue::number(result.seconds.at(v).at(t)));
     e.set("parallel_seconds", std::move(ps));
     auto tp = result.tapePeakBytes.find(v);
     if (tp != result.tapePeakBytes.end())
       e.set("tape_peak_bytes",
-            Json::integer(static_cast<long long>(tp->second)));
+            JsonValue::integer(static_cast<long long>(tp->second)));
     simulated.push(std::move(e));
   }
   body.set("simulated", std::move(simulated));
 
-  Json real = Json::array();
+  JsonValue real = JsonValue::array();
   for (const RealTiming& r : result.real) {
-    Json e = Json::object();
-    e.set("version", Json::str(r.version));
-    e.set("engine", Json::str(r.engine));
-    e.set("mode", Json::str(r.mode));
-    e.set("threads", Json::integer(r.threads));
-    e.set("seconds", Json::num(r.seconds));
+    JsonValue e = JsonValue::object();
+    e.set("version", JsonValue::str(r.version));
+    e.set("engine", JsonValue::str(r.engine));
+    e.set("mode", JsonValue::str(r.mode));
+    e.set("threads", JsonValue::integer(r.threads));
+    e.set("seconds", JsonValue::number(r.seconds));
     e.set("tape_peak_bytes",
-          Json::integer(static_cast<long long>(r.tapePeakBytes)));
+          JsonValue::integer(static_cast<long long>(r.tapePeakBytes)));
     real.push(std::move(e));
   }
   body.set("real", std::move(real));

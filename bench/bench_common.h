@@ -6,8 +6,10 @@
 //   2. profiles one application of each with the interpreter (operation
 //      counts per loop iteration);
 //   3. simulates wall times on the paper's 18-core socket via the
-//      calibrated cost model (see DESIGN.md — this container has one core,
-//      so scalability is simulated from measured operation mixes);
+//      calibrated cost model (see DESIGN.md: the 18-thread points need
+//      more cores than a typical build host has, so scalability is
+//      simulated from measured operation mixes; perfbench's
+//      native_adjoint times compiled adjoints on real threads);
 //   4. prints the absolute-time table and the speedup table, side by side
 //      with the paper's reported reference points.
 #pragma once
@@ -20,65 +22,16 @@
 
 #include "exec/costmodel.h"
 #include "exec/interp.h"
-#include "formad/formad.h"
 #include "kernels/spec.h"
+#include "server/json.h"
 
 namespace formad::bench {
 
-/// Minimal insertion-ordered JSON builder for the BENCH_*.json files. All
-/// bench binaries emit through it (instead of hand-rolled string pasting)
-/// so the files share one schema envelope and one number format.
-class Json {
- public:
-  [[nodiscard]] static Json num(double v);
-  [[nodiscard]] static Json integer(long long v);
-  [[nodiscard]] static Json boolean(bool v);
-  [[nodiscard]] static Json str(std::string s);
-  [[nodiscard]] static Json array();
-  [[nodiscard]] static Json object();
-
-  /// Appends an array element; *this must be array().
-  Json& push(Json v);
-  /// Sets an object member (insertion order preserved); *this must be
-  /// object(). Re-setting a key overwrites in place.
-  Json& set(const std::string& key, Json v);
-  [[nodiscard]] bool empty() const { return members_.empty() && elems_.empty(); }
-
-  /// Renders with 2-space indentation, members in insertion order.
-  [[nodiscard]] std::string dump(int indent = 0) const;
-
-  [[nodiscard]] const std::vector<std::pair<std::string, Json>>& members()
-      const {
-    return members_;
-  }
-
- private:
-  enum class Kind { Null, Num, Int, Bool, Str, Array, Object };
-  Kind kind_ = Kind::Null;
-  double num_ = 0;
-  long long int_ = 0;
-  bool bool_ = false;
-  std::string str_;
-  std::vector<Json> elems_;
-  std::vector<std::pair<std::string, Json>> members_;
-};
-
-/// Writes BENCH_<name>.json in the working directory with the shared
-/// envelope: {"benchmark": <name>, "schema_version": 3, ...body members...}.
-/// `body` must be object(). Prints the "wrote ..." line the CI artifact
-/// step greps for.
-void writeBenchFile(const std::string& name, const Json& body);
-
-/// The per-tier query-count object every analysis bench embeds:
-/// {"queries", "tier0", "tier1", "tier2", "cached", "absint_facts"} (see
-/// core::KernelAnalysis — the four tier components partition queries;
-/// absint_facts is 0 unless the analysis ran with model.absint on).
-[[nodiscard]] Json tierCountsJson(const core::KernelAnalysis& a);
-
-/// The verdict-store object of the incremental benches: spliced/persisted
-/// task counts, fresh solver work, and the task-level hit rate (0.0 when no
-/// store was attached).
-[[nodiscard]] Json cacheCountsJson(const core::KernelAnalysis& a);
+/// Writes BENCH_<name>.json in the working directory as one line of JSON:
+/// {"benchmark": <name>, "schema_version": 5, ...body members...}. `body`
+/// must be an object. Prints the "wrote ..." line the CI artifact step
+/// greps for.
+void writeBenchFile(const std::string& name, const server::JsonValue& body);
 
 struct FigureSetup {
   std::string name;            // file-safe id, e.g. "fig3_fig5_small_stencil";

@@ -31,6 +31,7 @@
 #include "parser/parser.h"
 
 using namespace formad;
+using server::JsonValue;
 
 namespace {
 
@@ -147,7 +148,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<long long>{1, 16, 256, 0}
             : std::vector<long long>{1, 4, 16, 64, 256, 1024, 4096, 0};
 
-  bench::Json sweepRows = bench::Json::array();
+  JsonValue sweepRows = JsonValue::array();
   bool monotone = true;
   for (const auto& [name, spec] : configs) {
     auto kernel = parser::parseKernel(spec.source);
@@ -168,15 +169,15 @@ int main(int argc, char** argv) {
         monotone = false;
       prevSafe = p.safeVars;
       prevUnlimited = budget == 0;
-      bench::Json row = bench::Json::object();
-      row.set("config", bench::Json::str(name));
-      row.set("budget", bench::Json::integer(p.budget));
-      row.set("unlimited", bench::Json::boolean(p.budget == 0));
-      row.set("safe_vars", bench::Json::integer(p.safeVars));
-      row.set("atomic_vars", bench::Json::integer(p.unsafeVars));
-      row.set("degraded_pairs", bench::Json::integer(p.degradedPairs));
-      row.set("exhausted_checks", bench::Json::integer(p.exhaustedChecks));
-      row.set("seconds", bench::Json::num(p.seconds));
+      JsonValue row = JsonValue::object();
+      row.set("config", JsonValue::str(name));
+      row.set("budget", JsonValue::integer(p.budget));
+      row.set("unlimited", JsonValue::boolean(p.budget == 0));
+      row.set("safe_vars", JsonValue::integer(p.safeVars));
+      row.set("atomic_vars", JsonValue::integer(p.unsafeVars));
+      row.set("degraded_pairs", JsonValue::integer(p.degradedPairs));
+      row.set("exhausted_checks", JsonValue::integer(p.exhaustedChecks));
+      row.set("seconds", JsonValue::number(p.seconds));
       sweepRows.push(std::move(row));
     }
     std::cout << t.str();
@@ -189,7 +190,7 @@ int main(int argc, char** argv) {
   // Determinism spot check: a starved run must produce identical
   // verdict-affecting counters at any thread count (steps, not seconds).
   std::cout << "\n### Budgeted-verdict determinism across thread counts\n\n";
-  bench::Json determinism = bench::Json::array();
+  JsonValue determinism = JsonValue::array();
   bool deterministic = true;
   {
     const auto& [name, spec] = configs.front();
@@ -204,13 +205,13 @@ int main(int argc, char** argv) {
               << (deterministic ? "identical counters\n"
                                 : "MISMATCH (determinism bug)\n");
     for (const SweepPoint* p : {&t1, &t4}) {
-      bench::Json row = bench::Json::object();
-      row.set("config", bench::Json::str(name));
-      row.set("budget", bench::Json::integer(starved));
-      row.set("threads", bench::Json::integer(p == &t1 ? 1 : 4));
-      row.set("safe_vars", bench::Json::integer(p->safeVars));
-      row.set("degraded_pairs", bench::Json::integer(p->degradedPairs));
-      row.set("exhausted_checks", bench::Json::integer(p->exhaustedChecks));
+      JsonValue row = JsonValue::object();
+      row.set("config", JsonValue::str(name));
+      row.set("budget", JsonValue::integer(starved));
+      row.set("threads", JsonValue::integer(p == &t1 ? 1 : 4));
+      row.set("safe_vars", JsonValue::integer(p->safeVars));
+      row.set("degraded_pairs", JsonValue::integer(p->degradedPairs));
+      row.set("exhausted_checks", JsonValue::integer(p->exhaustedChecks));
       determinism.push(std::move(row));
     }
   }
@@ -252,7 +253,7 @@ int main(int argc, char** argv) {
   const std::vector<long long> hybridBudgets =
       smoke ? std::vector<long long>{1, 0}
             : std::vector<long long>{1, 4, 16, 64, 0};
-  bench::Json hybridRows = bench::Json::array();
+  JsonValue hybridRows = JsonValue::array();
   bool hybridRecovers = true;   // strictly more than whole-var when starved
   bool hybridDominates = true;  // never less at any budget
   for (const auto& cfg : hybridConfigs) {
@@ -304,16 +305,16 @@ int main(int argc, char** argv) {
       if (budget == 1 && hybridSpeedup <= wholeSpeedup) hybridRecovers = false;
       if (hybridSpeedup < wholeSpeedup - 1e-12) hybridDominates = false;
 
-      bench::Json row = bench::Json::object();
-      row.set("config", bench::Json::str(cfg.name));
-      row.set("budget", bench::Json::integer(budget));
-      row.set("unlimited", bench::Json::boolean(budget == 0));
-      row.set("whole_var_atomic_speedup", bench::Json::num(wholeSpeedup));
-      row.set("hybrid_speedup", bench::Json::num(hybridSpeedup));
-      row.set("hybrid_shared_sites", bench::Json::integer(mix.shared));
-      row.set("hybrid_atomic_sites", bench::Json::integer(mix.atomic));
+      JsonValue row = JsonValue::object();
+      row.set("config", JsonValue::str(cfg.name));
+      row.set("budget", JsonValue::integer(budget));
+      row.set("unlimited", JsonValue::boolean(budget == 0));
+      row.set("whole_var_atomic_speedup", JsonValue::number(wholeSpeedup));
+      row.set("hybrid_speedup", JsonValue::number(hybridSpeedup));
+      row.set("hybrid_shared_sites", JsonValue::integer(mix.shared));
+      row.set("hybrid_atomic_sites", JsonValue::integer(mix.atomic));
       row.set("hybrid_local_accumulate_sites",
-              bench::Json::integer(mix.localAccumulate));
+              JsonValue::integer(mix.localAccumulate));
       hybridRows.push(std::move(row));
     }
     std::cout << t.str() << "\n";
@@ -344,20 +345,19 @@ int main(int argc, char** argv) {
                                             : "MISMATCH (determinism bug)\n");
   }
 
-  bench::Json body = bench::Json::object();
-  body.set("smoke", bench::Json::boolean(smoke));
+  JsonValue body = JsonValue::object();
+  body.set("smoke", JsonValue::boolean(smoke));
   body.set("budget_sweep", std::move(sweepRows));
-  body.set("safe_vars_monotone_in_budget", bench::Json::boolean(monotone));
+  body.set("safe_vars_monotone_in_budget", JsonValue::boolean(monotone));
   body.set("budgeted_verdicts_thread_deterministic",
-           bench::Json::boolean(deterministic));
+           JsonValue::boolean(deterministic));
   body.set("determinism_check", std::move(determinism));
   body.set("hybrid_ablation", std::move(hybridRows));
   body.set("hybrid_recovers_more_than_whole_var_atomic",
-           bench::Json::boolean(hybridRecovers));
-  body.set("hybrid_never_below_whole_var",
-           bench::Json::boolean(hybridDominates));
+           JsonValue::boolean(hybridRecovers));
+  body.set("hybrid_never_below_whole_var", JsonValue::boolean(hybridDominates));
   body.set("hybrid_report_thread_deterministic",
-           bench::Json::boolean(hybridReportDeterministic));
+           JsonValue::boolean(hybridReportDeterministic));
   bench::writeBenchFile("governance", body);
 
   if (!monotone)

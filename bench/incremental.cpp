@@ -18,8 +18,8 @@
 // phase's verdict report is compared byte-for-byte against a store-free
 // run at 1/2/4/8 analysis threads — the cache must be IO-observable only.
 //
-// Writes BENCH_incremental.json (schema v2: cache hit-rate objects per
-// phase, wall times, warm-over-cold speedup) through the shared writer.
+// Writes BENCH_incremental.json (cache hit-rate objects per phase, wall
+// times, warm-over-cold speedup) through the shared writer.
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
@@ -31,9 +31,11 @@
 #include "driver/report.h"
 #include "kernels/stencil.h"
 #include "parser/parser.h"
+#include "server/protocol.h"
 #include "smt/diskcache.h"
 
 using namespace formad;
+using server::JsonValue;
 
 namespace {
 
@@ -104,13 +106,22 @@ PhaseResult runPhase(const std::string& phase, const ir::Kernel& kernel,
   return out;
 }
 
-bench::Json phaseJson(const PhaseResult& p) {
-  bench::Json row = bench::Json::object();
-  row.set("phase", bench::Json::str(p.phase));
-  row.set("wall_seconds", bench::Json::num(p.wallSeconds));
-  row.set("tiers", bench::tierCountsJson(p.analysis));
-  row.set("cache", bench::cacheCountsJson(p.analysis));
-  row.set("reports_identical", bench::Json::boolean(p.reportsIdentical));
+JsonValue phaseJson(const PhaseResult& p) {
+  const core::KernelAnalysis& a = p.analysis;
+  // The daemon's cache object plus the task-level hit rate.
+  JsonValue cache = server::cacheCountsJson(a);
+  const long long tasks = a.tasksSpliced() + a.tasksPersisted();
+  cache.set("task_hit_rate",
+            JsonValue::number(tasks > 0
+                                  ? static_cast<double>(a.tasksSpliced()) /
+                                        static_cast<double>(tasks)
+                                  : 0.0));
+  JsonValue row = JsonValue::object();
+  row.set("phase", JsonValue::str(p.phase));
+  row.set("wall_seconds", JsonValue::number(p.wallSeconds));
+  row.set("tiers", server::tierCountsJson(a));
+  row.set("cache", std::move(cache));
+  row.set("reports_identical", JsonValue::boolean(p.reportsIdentical));
   return row;
 }
 
@@ -169,16 +180,16 @@ int main(int argc, char** argv) {
                "run\nre-proves only the pairs whose content fingerprints "
                "moved)\n\n";
 
-  bench::Json phases = bench::Json::array();
+  JsonValue phases = JsonValue::array();
   phases.push(phaseJson(cold));
   phases.push(phaseJson(warm));
   phases.push(phaseJson(editedPhase));
 
-  bench::Json body = bench::Json::object();
-  body.set("smoke", bench::Json::boolean(smoke));
-  body.set("radius", bench::Json::integer(radius));
+  JsonValue body = JsonValue::object();
+  body.set("smoke", JsonValue::boolean(smoke));
+  body.set("radius", JsonValue::integer(radius));
   body.set("phases", std::move(phases));
-  body.set("warm_speedup", bench::Json::num(speedup));
+  body.set("warm_speedup", JsonValue::number(speedup));
   bench::writeBenchFile("incremental", body);
 
   std::filesystem::remove_all(dir);

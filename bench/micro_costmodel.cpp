@@ -102,8 +102,11 @@ void BM_AnalyzeKernel(benchmark::State& state) {
   auto spec = state.range(0) == 0 ? kernels::stencilSpec(8)
                                   : kernels::lbmSpec();
   auto kernel = parser::parseKernel(spec.source);
+  driver::DriverOptions serial;
+  serial.analysisThreads = 1;
   for (auto _ : state) {
-    auto a = driver::analyze(*kernel, spec.independents, spec.dependents);
+    auto a =
+        driver::analyze(*kernel, spec.independents, spec.dependents, serial);
     benchmark::DoNotOptimize(a);
   }
 }

@@ -1,6 +1,7 @@
-// Real wall-clock benchmark of *generated C code* (single thread — this
-// container has one core): the small compact stencil's primal and adjoint
-// program versions are emitted by the C backend, compiled with the system
+// Real wall-clock benchmark of *generated C code* on one thread
+// (perfbench's native_adjoint workload times the same kernel at nproc
+// threads): the small compact stencil's primal and adjoint program
+// versions are emitted by the C backend, compiled with the system
 // compiler at -O2, and timed. This anchors the simulator's central claim
 // with hardware evidence: even without any contention, guarding the
 // adjoint increments with atomics costs an order of magnitude (the paper's

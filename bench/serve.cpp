@@ -45,6 +45,7 @@
 #include "support/percentile.h"
 
 using namespace formad;
+using server::JsonValue;
 
 namespace {
 
@@ -54,40 +55,39 @@ struct WorkItem {
 };
 
 std::string analyzeFrame(const kernels::KernelSpec& spec, int id) {
-  server::JsonValue req = server::JsonValue::object();
-  req.set("id", server::JsonValue::integer(id));
-  req.set("op", server::JsonValue::str("analyze"));
-  req.set("source", server::JsonValue::str(spec.source));
-  server::JsonValue indeps = server::JsonValue::array();
-  for (const auto& v : spec.independents)
-    indeps.push(server::JsonValue::str(v));
+  JsonValue req = JsonValue::object();
+  req.set("id", JsonValue::integer(id));
+  req.set("op", JsonValue::str("analyze"));
+  req.set("source", JsonValue::str(spec.source));
+  JsonValue indeps = JsonValue::array();
+  for (const auto& v : spec.independents) indeps.push(JsonValue::str(v));
   req.set("independents", std::move(indeps));
-  server::JsonValue deps = server::JsonValue::array();
-  for (const auto& v : spec.dependents) deps.push(server::JsonValue::str(v));
+  JsonValue deps = JsonValue::array();
+  for (const auto& v : spec.dependents) deps.push(JsonValue::str(v));
   req.set("dependents", std::move(deps));
   return req.dump();
 }
 
 std::string racecheckFrame(const kernels::KernelSpec& spec, int id) {
-  server::JsonValue req = server::JsonValue::object();
-  req.set("id", server::JsonValue::integer(id));
-  req.set("op", server::JsonValue::str("racecheck"));
-  req.set("source", server::JsonValue::str(spec.source));
+  JsonValue req = JsonValue::object();
+  req.set("id", JsonValue::integer(id));
+  req.set("op", JsonValue::str("racecheck"));
+  req.set("source", JsonValue::str(spec.source));
   return req.dump();
 }
 
 std::string lintFrame(const kernels::KernelSpec& spec, int id) {
-  server::JsonValue req = server::JsonValue::object();
-  req.set("id", server::JsonValue::integer(id));
-  req.set("op", server::JsonValue::str("lint"));
-  req.set("source", server::JsonValue::str(spec.source));
+  JsonValue req = JsonValue::object();
+  req.set("id", JsonValue::integer(id));
+  req.set("op", JsonValue::str("lint"));
+  req.set("source", JsonValue::str(spec.source));
   return req.dump();
 }
 
 std::string statsFrame(int id) {
-  server::JsonValue req = server::JsonValue::object();
-  req.set("id", server::JsonValue::integer(id));
-  req.set("op", server::JsonValue::str("stats"));
+  JsonValue req = JsonValue::object();
+  req.set("id", JsonValue::integer(id));
+  req.set("op", JsonValue::str("stats"));
   return req.dump();
 }
 
@@ -182,9 +182,9 @@ PhaseStats runPhase(const std::vector<WorkItem>& work, int clients,
         stats.latenciesMs[i] =
             std::chrono::duration<double, std::milli>(s1 - s0).count();
         try {
-          server::JsonValue resp = server::parseJson(line);
-          const server::JsonValue* ok = resp.find("ok");
-          if (ok == nullptr || ok->kind() != server::JsonValue::Kind::Bool ||
+          JsonValue resp = server::parseJson(line);
+          const JsonValue* ok = resp.find("ok");
+          if (ok == nullptr || ok->kind() != JsonValue::Kind::Bool ||
               !ok->asBool()) {
             ++failures[static_cast<size_t>(c)];
             std::cerr << "FAIL " << work[i].what << ": " << line << "\n";
@@ -240,8 +240,8 @@ long long referenceTaskStores(const kernels::KernelSpec& hot) {
   opts.sessions = 1;
   server::AnalysisServer daemon(opts);
   const std::string line = daemon.process(analyzeFrame(hot, 1));
-  server::JsonValue resp = server::parseJson(line);
-  const server::JsonValue* ok = resp.find("ok");
+  JsonValue resp = server::parseJson(line);
+  const JsonValue* ok = resp.find("ok");
   if (ok == nullptr || !ok->asBool()) {
     std::cerr << "FAIL contention reference: " << line << "\n";
     return -1;
@@ -268,10 +268,10 @@ ContentionStats runContention(const kernels::KernelSpec& hot, int clients,
       threads.emplace_back([&, c, round] {
         auto check = [&](const std::string& line, const char* what) {
           try {
-            server::JsonValue resp = server::parseJson(line);
-            const server::JsonValue* ok = resp.find("ok");
+            JsonValue resp = server::parseJson(line);
+            const JsonValue* ok = resp.find("ok");
             if (ok == nullptr ||
-                ok->kind() != server::JsonValue::Kind::Bool ||
+                ok->kind() != JsonValue::Kind::Bool ||
                 !ok->asBool()) {
               ++failures[static_cast<size_t>(c)];
               std::cerr << "FAIL contention " << what << ": " << line
@@ -322,46 +322,46 @@ ContentionStats runContention(const kernels::KernelSpec& hot, int clients,
   return stats;
 }
 
-bench::Json contentionJson(const ContentionStats& s, int clients,
-                           int rounds, long long refTaskStores) {
-  bench::Json j = bench::Json::object();
-  j.set("clients", bench::Json::integer(clients));
-  j.set("rounds", bench::Json::integer(rounds));
-  j.set("wall_s", bench::Json::num(s.wallSeconds));
-  bench::Json lat = bench::Json::object();
-  lat.set("p50", bench::Json::num(percentileOf(s.analyzeLatenciesMs, 50)));
-  lat.set("p95", bench::Json::num(percentileOf(s.analyzeLatenciesMs, 95)));
-  lat.set("p99", bench::Json::num(percentileOf(s.analyzeLatenciesMs, 99)));
+JsonValue contentionJson(const ContentionStats& s, int clients, int rounds,
+                         long long refTaskStores) {
+  JsonValue j = JsonValue::object();
+  j.set("clients", JsonValue::integer(clients));
+  j.set("rounds", JsonValue::integer(rounds));
+  j.set("wall_s", JsonValue::number(s.wallSeconds));
+  JsonValue lat = JsonValue::object();
+  lat.set("p50", JsonValue::number(percentileOf(s.analyzeLatenciesMs, 50)));
+  lat.set("p95", JsonValue::number(percentileOf(s.analyzeLatenciesMs, 95)));
+  lat.set("p99", JsonValue::number(percentileOf(s.analyzeLatenciesMs, 99)));
   j.set("analyze_latency_ms", std::move(lat));
-  j.set("task_stores", bench::Json::integer(s.taskStores));
-  j.set("reference_task_stores", bench::Json::integer(refTaskStores));
-  j.set("task_hits", bench::Json::integer(s.taskHits));
-  j.set("flight_claims", bench::Json::integer(s.flightClaims));
-  j.set("flight_joins", bench::Json::integer(s.flightJoins));
-  j.set("flight_unclaims", bench::Json::integer(s.flightUnclaims));
-  j.set("dedup_rate", bench::Json::num(s.dedupRate));
-  j.set("failures", bench::Json::integer(s.failures));
+  j.set("task_stores", JsonValue::integer(s.taskStores));
+  j.set("reference_task_stores", JsonValue::integer(refTaskStores));
+  j.set("task_hits", JsonValue::integer(s.taskHits));
+  j.set("flight_claims", JsonValue::integer(s.flightClaims));
+  j.set("flight_joins", JsonValue::integer(s.flightJoins));
+  j.set("flight_unclaims", JsonValue::integer(s.flightUnclaims));
+  j.set("dedup_rate", JsonValue::number(s.dedupRate));
+  j.set("failures", JsonValue::integer(s.failures));
   return j;
 }
 
-bench::Json phaseJson(const std::string& name, const PhaseStats& s,
-                      size_t requests) {
-  bench::Json j = bench::Json::object();
-  j.set("phase", bench::Json::str(name));
-  j.set("requests", bench::Json::integer(static_cast<long long>(requests)));
-  j.set("wall_s", bench::Json::num(s.wallSeconds));
+JsonValue phaseJson(const std::string& name, const PhaseStats& s,
+                    size_t requests) {
+  JsonValue j = JsonValue::object();
+  j.set("phase", JsonValue::str(name));
+  j.set("requests", JsonValue::integer(static_cast<long long>(requests)));
+  j.set("wall_s", JsonValue::number(s.wallSeconds));
   j.set("throughput_rps",
-        bench::Json::num(s.wallSeconds > 0
+        JsonValue::number(s.wallSeconds > 0
                              ? static_cast<double>(requests) / s.wallSeconds
                              : 0));
-  bench::Json lat = bench::Json::object();
-  lat.set("p50", bench::Json::num(s.percentile(50)));
-  lat.set("p95", bench::Json::num(s.percentile(95)));
-  lat.set("p99", bench::Json::num(s.percentile(99)));
+  JsonValue lat = JsonValue::object();
+  lat.set("p50", JsonValue::number(s.percentile(50)));
+  lat.set("p95", JsonValue::number(s.percentile(95)));
+  lat.set("p99", JsonValue::number(s.percentile(99)));
   j.set("latency_ms", std::move(lat));
-  j.set("task_hit_rate", bench::Json::num(s.taskHitRate));
-  j.set("task_memory_hits", bench::Json::integer(s.taskMemoryHits));
-  j.set("failures", bench::Json::integer(s.failures));
+  j.set("task_hit_rate", JsonValue::number(s.taskHitRate));
+  j.set("task_memory_hits", JsonValue::integer(s.taskMemoryHits));
+  j.set("failures", JsonValue::integer(s.failures));
   return j;
 }
 
@@ -424,11 +424,11 @@ int main(int argc, char** argv) {
       refTaskStores, cont.flightJoins, cont.taskHits, cont.dedupRate,
       cont.failures);
 
-  bench::Json body = bench::Json::object();
-  body.set("smoke", bench::Json::boolean(smoke));
-  body.set("clients", bench::Json::integer(kClients));
-  body.set("sessions", bench::Json::integer(kSessions));
-  bench::Json phases = bench::Json::array();
+  JsonValue body = JsonValue::object();
+  body.set("smoke", JsonValue::boolean(smoke));
+  body.set("clients", JsonValue::integer(kClients));
+  body.set("sessions", JsonValue::integer(kSessions));
+  JsonValue phases = JsonValue::array();
   phases.push(phaseJson("cold", cold, work.size()));
   phases.push(phaseJson("warm", warm, work.size()));
   body.set("phases", std::move(phases));

@@ -18,8 +18,10 @@
 #include "kernels/lbm.h"
 #include "kernels/stencil.h"
 #include "parser/parser.h"
+#include "server/protocol.h"
 
 using namespace formad;
+using server::JsonValue;
 
 namespace {
 
@@ -53,11 +55,13 @@ int main() {
                        "queries*", "exprs", "stmts", "tier2 off>on",
                        "verdict"});
   std::vector<std::string> notes;
-  bench::Json cases = bench::Json::array();
+  JsonValue cases = JsonValue::array();
+  driver::DriverOptions serial;
+  serial.analysisThreads = 1;
   for (const auto& row : rows) {
     auto kernel = parser::parseKernel(row.spec.source);
-    auto analysis =
-        driver::analyze(*kernel, row.spec.independents, row.spec.dependents);
+    auto analysis = driver::analyze(*kernel, row.spec.independents,
+                                    row.spec.dependents, serial);
     // queries*: exploitation checks only (no per-assertion consistency
     // safeguard) — the counting that matches the paper's Table 1.
     core::AnalyzeOptions noCC;
@@ -86,31 +90,32 @@ int main() {
                   allSafe ? "safe (no atomics)" : "REJECTED (keep guards)"});
     notes.push_back(row.problem + " — " + row.paper);
 
-    bench::Json c = bench::Json::object();
-    c.set("problem", bench::Json::str(row.problem));
-    c.set("model_size", bench::Json::integer(analysis.modelAssertions()));
-    c.set("queries", bench::Json::integer(analysis.queries()));
-    c.set("queries_exploit_only", bench::Json::integer(exploitOnly.queries()));
-    c.set("exprs", bench::Json::integer(analysis.uniqueExprs()));
-    c.set("stmts", bench::Json::integer(analysis.statementsInRegions()));
-    c.set("safe", bench::Json::boolean(allSafe));
-    c.set("tiers", bench::tierCountsJson(analysis));
-    c.set("tiers_absint", bench::tierCountsJson(absintRun));
+    JsonValue c = JsonValue::object();
+    c.set("problem", JsonValue::str(row.problem));
+    c.set("model_size", JsonValue::integer(analysis.modelAssertions()));
+    c.set("queries", JsonValue::integer(analysis.queries()));
+    c.set("queries_exploit_only", JsonValue::integer(exploitOnly.queries()));
+    c.set("exprs", JsonValue::integer(analysis.uniqueExprs()));
+    c.set("stmts", JsonValue::integer(analysis.statementsInRegions()));
+    c.set("safe", JsonValue::boolean(allSafe));
+    c.set("tiers", server::tierCountsJson(analysis));
+    c.set("tiers_absint", server::tierCountsJson(absintRun));
     c.set("tier2_killed_by_absint",
-          bench::Json::integer(analysis.tier2Checks() -
-                               absintRun.tier2Checks()));
-    bench::Json byThreads = bench::Json::object();
+          JsonValue::integer(analysis.tier2Checks() - absintRun.tier2Checks()));
+    JsonValue byThreads = JsonValue::object();
     for (int threads : {1, 2, 4, 8}) {
+      driver::DriverOptions opts;
+      opts.analysisThreads = threads;
       auto timed = driver::analyze(*kernel, row.spec.independents,
-                                   row.spec.dependents, threads);
+                                   row.spec.dependents, opts);
       byThreads.set(std::to_string(threads),
-                    bench::Json::num(timed.analysisSeconds()));
+                    JsonValue::number(timed.analysisSeconds()));
     }
     c.set("seconds_by_threads", std::move(byThreads));
     cases.push(std::move(c));
   }
   {
-    bench::Json body = bench::Json::object();
+    JsonValue body = JsonValue::object();
     body.set("cases", std::move(cases));
     bench::writeBenchFile("table1_analysis", body);
   }
@@ -132,8 +137,8 @@ int main() {
   // Detailed per-region reports.
   for (const auto& row : rows) {
     auto kernel = parser::parseKernel(row.spec.source);
-    auto analysis =
-        driver::analyze(*kernel, row.spec.independents, row.spec.dependents);
+    auto analysis = driver::analyze(*kernel, row.spec.independents,
+                                    row.spec.dependents, serial);
     std::cout << "--- " << row.problem << "\n"
               << core::describe(analysis) << "\n";
   }

@@ -238,28 +238,6 @@ DifferentiateResult differentiate(const Kernel& primal,
 core::KernelAnalysis analyze(const Kernel& primal,
                              const std::vector<std::string>& independents,
                              const std::vector<std::string>& dependents,
-                             int analysisThreads,
-                             smt::FastPathMode fastpath) {
-  core::AnalyzeOptions aopts;
-  aopts.exploit.threads = resolveAnalysisThreads(analysisThreads);
-  aopts.exploit.fastpath = fastpath;
-  std::unique_ptr<support::WorkPool> pool;
-  if (aopts.exploit.threads > 1) {
-    pool = std::make_unique<support::WorkPool>(aopts.exploit.threads);
-    aopts.exploit.pool = pool.get();
-  }
-  return core::analyzeKernel(primal, independents, dependents, aopts);
-}
-
-core::KernelAnalysis analyze(const Kernel& primal,
-                             const std::vector<std::string>& independents,
-                             const std::vector<std::string>& dependents) {
-  return core::analyzeKernel(primal, independents, dependents);
-}
-
-core::KernelAnalysis analyze(const Kernel& primal,
-                             const std::vector<std::string>& independents,
-                             const std::vector<std::string>& dependents,
                              const DriverOptions& opts) {
   core::AnalyzeOptions aopts;
   aopts.exploit.threads = resolveAnalysisThreads(opts.analysisThreads);

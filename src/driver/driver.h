@@ -154,24 +154,16 @@ struct DifferentiateResult {
     const std::vector<std::string>& dependents, AdjointMode mode,
     bool omitTapeFreePrimalSweep = false);
 
-/// Runs the FormAD analysis alone (Table 1 statistics, verdicts).
-/// `analysisThreads` follows the DriverOptions convention (0 = auto);
-/// `fastpath` follows DriverOptions::fastpath (exact, speed-only).
+/// Runs the FormAD analysis alone (Table 1 statistics, verdicts). Honors
+/// analysisThreads (default 0 = auto width; reports are byte-identical at
+/// any width), analysisPool, fastpath, absint, solverStepBudget,
+/// analysisDeadlineMs, faultInject and verdictStore. Of the race-check
+/// fields only racecheck.paramValues is read (pins for the abstract
+/// interpreter). `mode == Hybrid` additionally exports per-(var,
+/// access-site) verdicts (ExploitOptions::siteVerdicts); every other mode
+/// analyzes classically.
 [[nodiscard]] core::KernelAnalysis analyze(
     const ir::Kernel& primal, const std::vector<std::string>& independents,
-    const std::vector<std::string>& dependents, int analysisThreads,
-    smt::FastPathMode fastpath = smt::FastPathMode::Full);
-[[nodiscard]] core::KernelAnalysis analyze(
-    const ir::Kernel& primal, const std::vector<std::string>& independents,
-    const std::vector<std::string>& dependents);
-
-/// Full-options analyze: honors analysisThreads, fastpath,
-/// solverStepBudget, analysisDeadlineMs, and faultInject (the race-check
-/// fields are ignored — this runs the FormAD analysis only). `mode ==
-/// Hybrid` additionally exports per-(var, access-site) verdicts
-/// (ExploitOptions::siteVerdicts); every other mode analyzes classically.
-[[nodiscard]] core::KernelAnalysis analyze(
-    const ir::Kernel& primal, const std::vector<std::string>& independents,
-    const std::vector<std::string>& dependents, const DriverOptions& opts);
+    const std::vector<std::string>& dependents, const DriverOptions& opts = {});
 
 }  // namespace formad::driver

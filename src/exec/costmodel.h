@@ -1,11 +1,12 @@
 // Calibrated cost model of the paper's testbed (one 18-core socket of a
 // dual Xeon E5-2695v4, Intel Fortran -O3), driven by interpreter profiles.
 //
-// This container has a single physical core, so the scalability figures
-// (paper Figs. 3-10) are *simulated*: per-iteration operation counts are
-// measured by the interpreter, then combined with per-operation costs, an
-// atomic-contention model, bandwidth saturation caps, privatization
-// (reduction) init/merge costs, and static/dynamic schedule simulation.
+// The 18-thread points need more cores than a typical build host has, so
+// the scalability figures (paper Figs. 3-10) are *simulated*: per-iteration
+// operation counts are measured by the interpreter, then combined with
+// per-operation costs, an atomic-contention model, bandwidth saturation
+// caps, privatization (reduction) init/merge costs, and static/dynamic
+// schedule simulation.
 // The constants are calibrated so the serial absolute times land near the
 // paper's; the parallel *shapes* (who wins, crossovers, saturation points)
 // then emerge from the modeled mechanisms. See DESIGN.md, substitutions.

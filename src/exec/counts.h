@@ -1,9 +1,9 @@
 // Operation-count profiles collected by the interpreter's Profile mode.
 //
 // The cost-model simulator (costmodel.h) consumes these to predict wall
-// times on the paper's 18-core testbed: this container has a single core,
-// so scalability figures are *simulated* from measured operation mixes —
-// see DESIGN.md, substitution table.
+// times on the paper's 18-core testbed, whose thread counts exceed a
+// typical build host's cores, so scalability figures are *simulated* from
+// measured operation mixes — see DESIGN.md, substitution table.
 #pragma once
 
 #include <string>

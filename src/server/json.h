@@ -1,18 +1,21 @@
-// Minimal JSON value type for the serving protocol (src/server/).
+// The repository's one JSON value type: the serving protocol parses
+// requests and renders responses with it, and every bench binary writes
+// its BENCH_*.json file through it (bench/bench_common.h).
 //
-// The bench harness has an insertion-ordered JSON *builder*
-// (bench/bench_common.h); the daemon additionally needs to PARSE untrusted
-// request bodies, so the server keeps its own self-contained value type
-// with a strict recursive-descent parser:
+// The parser is strict because request bodies are untrusted:
 //
 //   - full document consumption (trailing bytes are an error),
 //   - a nesting-depth limit (malicious deeply nested arrays cannot blow
 //     the stack),
 //   - numbers split into Int (fits long long, no fraction/exponent) and
 //     Double, so protocol counters round-trip exactly,
-//   - strings with the standard escapes incl. \uXXXX (+ surrogate pairs),
-//   - dump() renders on ONE line — the newline-delimited framing of the
-//     protocol depends on responses never containing a raw newline.
+//   - strings with the standard escapes incl. \uXXXX (+ surrogate pairs).
+//
+// dump() always writes JSON, on ONE line: every control character is
+// escaped, doubles print with 17 significant digits (they parse back to
+// the same value), and NaN/Inf print as null. The newline-delimited
+// framing of the protocol depends on responses never containing a raw
+// newline.
 #pragma once
 
 #include <string>

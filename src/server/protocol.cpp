@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "formad/formad.h"
 #include "support/diagnostics.h"
 
 namespace formad::server {
@@ -98,7 +99,6 @@ RequestOptions parseOptions(const JsonValue& v) {
       else if (m == "syntactic") o.fastpath = smt::FastPathMode::Syntactic;
       else if (m == "full") o.fastpath = smt::FastPathMode::Full;
       else badRequest("options.fastpath must be off, syntactic, or full");
-      o.fastpathSet = true;
     } else if (key == "absint") {
       if (val.kind() != JsonValue::Kind::Bool)
         badRequest("options.absint must be a boolean");
@@ -208,6 +208,35 @@ JsonValue okResponse(const Request& req) {
   r.set("ok", JsonValue::boolean(true));
   r.set("op", JsonValue::str(to_string(req.op)));
   return r;
+}
+
+JsonValue tierCountsJson(const core::KernelAnalysis& a) {
+  JsonValue t = JsonValue::object();
+  t.set("queries", JsonValue::integer(a.queries()));
+  t.set("tier0", JsonValue::integer(a.tier0Hits()));
+  t.set("tier1", JsonValue::integer(a.tier1Hits()));
+  t.set("tier2", JsonValue::integer(a.tier2Checks()));
+  t.set("cached", JsonValue::integer(a.cacheHits()));
+  t.set("absint_facts", JsonValue::integer(a.absintFacts()));
+  return t;
+}
+
+JsonValue governanceJson(long long budgetExhausted, long long degradedPairs) {
+  JsonValue g = JsonValue::object();
+  g.set("budget_exhausted", JsonValue::integer(budgetExhausted));
+  g.set("degraded_pairs", JsonValue::integer(degradedPairs));
+  return g;
+}
+
+JsonValue cacheCountsJson(const core::KernelAnalysis& a) {
+  JsonValue c = JsonValue::object();
+  c.set("tasks_spliced", JsonValue::integer(a.tasksSpliced()));
+  c.set("tasks_joined", JsonValue::integer(a.tasksJoined()));
+  c.set("tasks_persisted", JsonValue::integer(a.tasksPersisted()));
+  c.set("tasks_skipped", JsonValue::integer(a.tasksSkipped()));
+  c.set("fresh_solver_checks", JsonValue::integer(a.freshSolverChecks()));
+  c.set("fresh_tier2_solves", JsonValue::integer(a.freshTier2Solves()));
+  return c;
 }
 
 JsonValue errorResponse(const JsonValue& id, const std::string& code,

@@ -46,6 +46,10 @@
 #include "server/json.h"
 #include "smt/fastpath.h"
 
+namespace formad::core {
+struct KernelAnalysis;
+}  // namespace formad::core
+
 namespace formad::server {
 
 /// Splits a byte stream into newline-delimited frames, robust to arbitrary
@@ -91,7 +95,6 @@ struct RequestOptions {
   /// Scheduling only — verdicts and reports are priority-independent.
   int priority = 1;
   smt::FastPathMode fastpath = smt::FastPathMode::Full;
-  bool fastpathSet = false;
   bool absint = false;
   /// Analyze with the hybrid safeguard's per-(var, access-site) verdicts
   /// (ExploitOptions::siteVerdicts). Default (false) is the classic
@@ -140,6 +143,22 @@ class ProtocolError : public std::runtime_error {
 /// Builds the envelope of a successful response: {"id", "ok": true,
 /// "op"}; the caller adds the op-specific members.
 [[nodiscard]] JsonValue okResponse(const Request& req);
+
+/// The counter objects of analyze and racecheck responses, each built in
+/// one place. The benches write the tier and cache objects into their
+/// BENCH_*.json files through the same functions, so member names cannot
+/// drift between a response and a bench file:
+///   tiers       {"queries", "tier0", "tier1", "tier2", "cached",
+///                "absint_facts"} (the four tier components partition
+///                queries; absint_facts is 0 unless absint ran);
+///   governance  {"budget_exhausted", "degraded_pairs"};
+///   cache       {"tasks_spliced", "tasks_joined", "tasks_persisted",
+///                "tasks_skipped", "fresh_solver_checks",
+///                "fresh_tier2_solves"}.
+[[nodiscard]] JsonValue tierCountsJson(const core::KernelAnalysis& a);
+[[nodiscard]] JsonValue governanceJson(long long budgetExhausted,
+                                       long long degradedPairs);
+[[nodiscard]] JsonValue cacheCountsJson(const core::KernelAnalysis& a);
 
 /// Builds a structured error response. `id` may be null (e.g. the frame
 /// never parsed, so no id is known).

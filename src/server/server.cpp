@@ -251,29 +251,10 @@ JsonValue AnalysisServer::handleAnalyze(const Request& req,
   // arrival order, pool width, or store temperature.
   resp.set("report", JsonValue::str(core::describe(analysis, false) +
                                     core::describeTiers(analysis)));
-  JsonValue tiers = JsonValue::object();
-  tiers.set("queries", JsonValue::integer(analysis.queries()));
-  tiers.set("tier0", JsonValue::integer(analysis.tier0Hits()));
-  tiers.set("tier1", JsonValue::integer(analysis.tier1Hits()));
-  tiers.set("tier2", JsonValue::integer(analysis.tier2Checks()));
-  tiers.set("cached", JsonValue::integer(analysis.cacheHits()));
-  tiers.set("absint_facts", JsonValue::integer(analysis.absintFacts()));
-  resp.set("tiers", std::move(tiers));
-  JsonValue gov = JsonValue::object();
-  gov.set("budget_exhausted",
-          JsonValue::integer(analysis.budgetExhaustedChecks()));
-  gov.set("degraded_pairs", JsonValue::integer(analysis.degradedPairs()));
-  resp.set("governance", std::move(gov));
-  JsonValue cache = JsonValue::object();
-  cache.set("tasks_spliced", JsonValue::integer(analysis.tasksSpliced()));
-  cache.set("tasks_joined", JsonValue::integer(analysis.tasksJoined()));
-  cache.set("tasks_persisted", JsonValue::integer(analysis.tasksPersisted()));
-  cache.set("tasks_skipped", JsonValue::integer(analysis.tasksSkipped()));
-  cache.set("fresh_solver_checks",
-            JsonValue::integer(analysis.freshSolverChecks()));
-  cache.set("fresh_tier2_solves",
-            JsonValue::integer(analysis.freshTier2Solves()));
-  resp.set("cache", std::move(cache));
+  resp.set("tiers", tierCountsJson(analysis));
+  resp.set("governance", governanceJson(analysis.budgetExhaustedChecks(),
+                                        analysis.degradedPairs()));
+  resp.set("cache", cacheCountsJson(analysis));
   return resp;
 }
 
@@ -314,10 +295,7 @@ JsonValue AnalysisServer::handleRacecheck(const Request& req,
   resp.set("kernel", JsonValue::str(primal.name));
   resp.set("verdict", JsonValue::str(racecheck::to_string(report.overall())));
   resp.set("report", JsonValue::str(report.describe()));
-  JsonValue gov = JsonValue::object();
-  gov.set("budget_exhausted", JsonValue::integer(exhausted));
-  gov.set("degraded_pairs", JsonValue::integer(degraded));
-  resp.set("governance", std::move(gov));
+  resp.set("governance", governanceJson(exhausted, degraded));
   return resp;
 }
 

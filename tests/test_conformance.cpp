@@ -294,10 +294,13 @@ class DifferentialFuzz : public ::testing::TestWithParam<unsigned> {};
 TEST_P(DifferentialFuzz, SerialAndParallelAnalysesAgree) {
   const Harness h = randomHarness(GetParam());
   auto primal = h.parse();
+  driver::DriverOptions opts;
+  opts.analysisThreads = 1;
   auto serial =
-      driver::analyze(*primal, h.spec.independents, h.spec.dependents, 1);
+      driver::analyze(*primal, h.spec.independents, h.spec.dependents, opts);
+  opts.analysisThreads = 4;
   auto parallel =
-      driver::analyze(*primal, h.spec.independents, h.spec.dependents, 4);
+      driver::analyze(*primal, h.spec.independents, h.spec.dependents, opts);
   EXPECT_EQ(core::describe(serial, false), core::describe(parallel, false))
       << "seed " << GetParam();
 }

@@ -162,18 +162,21 @@ TEST(Driver, AnalysisThreadsNegativeIsRejectedWithClearError) {
   }
 }
 
-// The threaded analyze() overload goes through the same resolution: a
-// negative request throws before any analysis work starts, and explicit
-// counts produce the same verdicts as the default entry point.
+// analyze() goes through the same resolution: a negative analysisThreads
+// throws before any analysis work starts, and explicit counts produce the
+// same verdicts as auto width.
 TEST(Driver, AnalyzeOverloadHonoursThreadConvention) {
   Harness h = stencilHarness(1, 32, 3);
   auto k = h.parse();
-  EXPECT_THROW(
-      (void)driver::analyze(*k, h.spec.independents, h.spec.dependents, -1),
-      Error);
-  auto one = driver::analyze(*k, h.spec.independents, h.spec.dependents, 1);
-  auto four = driver::analyze(*k, h.spec.independents, h.spec.dependents, 4);
-  auto zero = driver::analyze(*k, h.spec.independents, h.spec.dependents, 0);
+  auto analyzeAt = [&](int threads) {
+    driver::DriverOptions opts;
+    opts.analysisThreads = threads;
+    return driver::analyze(*k, h.spec.independents, h.spec.dependents, opts);
+  };
+  EXPECT_THROW((void)analyzeAt(-1), Error);
+  auto one = analyzeAt(1);
+  auto four = analyzeAt(4);
+  auto zero = analyzeAt(0);
   EXPECT_EQ(core::describe(one, false), core::describe(four, false));
   EXPECT_EQ(core::describe(one, false), core::describe(zero, false));
 }

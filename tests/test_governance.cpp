@@ -485,9 +485,9 @@ TEST(FaultInjection, ForcedThrowPropagatesWithoutHangingThePool) {
 TEST(DefaultGovernance, UnlimitedBudgetReportsAreByteIdenticalToDefaults) {
   auto spec = kernels::stencilSpec(2);
   auto kernel = parser::parseKernel(spec.source);
+  // The library's default entry point: no driver options at all.
+  auto base = core::analyzeKernel(*kernel, spec.independents, spec.dependents);
   for (int threads : {1, 2, 4, 8}) {
-    auto base = driver::analyze(*kernel, spec.independents, spec.dependents,
-                                threads);
     driver::DriverOptions opts;
     opts.analysisThreads = threads;
     opts.solverStepBudget = 0;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <random>
 #include <sstream>
@@ -744,6 +745,36 @@ TEST(ServerProtocol, HybridSafeguardOptionAddsSiteVerdictLines) {
   EXPECT_EQ(errorCodeOf(parse(daemon.process(
                 analyzeFrame(spec, R"({"safeguard":7})")))),
             "bad_request");
+}
+
+// ---------------------------------------------------------------------------
+// JsonValue::dump always writes JSON: protocol responses and every
+// BENCH_*.json file are rendered by it.
+
+TEST(ServerJson, DumpAlwaysWritesJson) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf})
+    EXPECT_EQ(JsonValue::number(bad).dump(), "null");
+
+  for (double d : {0.1, 1234567.0, 1e-300}) {
+    const std::string text = JsonValue::number(d).dump();
+    EXPECT_EQ(server::parseJson(text).asDouble(), d) << text;
+  }
+
+  const std::string raw = "line\nnext\ttab\x01" "end";
+  JsonValue doc = JsonValue::object();
+  doc.set("s", JsonValue::str(raw));
+  doc.set(raw, JsonValue::array().push(JsonValue::number(0.1)));
+  const std::string text = doc.dump();
+  EXPECT_EQ(text.find('\n'), std::string::npos) << text;
+  EXPECT_TRUE(std::none_of(text.begin(), text.end(),
+                           [](unsigned char c) { return c < 0x20; }))
+      << text;
+  const JsonValue back = server::parseJson(text);
+  ASSERT_NE(back.find("s"), nullptr);
+  ASSERT_NE(back.find(raw), nullptr);
+  EXPECT_EQ(back.find("s")->asString(), raw);
+  EXPECT_EQ(back.find(raw)->elements().at(0).asDouble(), 0.1);
 }
 
 // ---------------------------------------------------------------------------
