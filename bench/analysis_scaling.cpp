@@ -75,7 +75,7 @@ ThreadScaling scaleConfig(const std::string& name,
   auto kernel = parser::parseKernel(spec.source);
 
   // Best-of-reps wall time per width (the usual benchmarking guard
-  // against scheduler noise), and the fastest eager run's per-task
+  // against scheduler noise), and the fastest 4-thread run's per-task
   // profile for the simulation: the 4-thread run evaluates every task
   // replay reads, so those entries of taskSeconds carry a wall time; a
   // task it skipped (behind a variable's first unsafe pair) costs

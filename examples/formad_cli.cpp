@@ -15,7 +15,8 @@
 // -racecheck runs the static primal race checker (racecheck/) before
 // differentiating: a proven race aborts with the counterexample witness;
 // an inconclusive verdict is reported as a warning. With -racecheck-only
-// the verdict report is printed and nothing is differentiated.
+// the verdict report is printed and nothing is differentiated; both honour
+// the analysis flags below and the FORMAD_FAULT_* variables alike.
 // -bind n=v,m=w pins never-written integer parameters to concrete values
 // for the checker; -coloring a,b declares conflict-free coloring arrays.
 //
@@ -182,17 +183,13 @@ int main(int argc, char** argv) {
   bool analyzeOnly = false;
   bool emitC = false;
   bool disasm = false;
-  bool racecheckFlag = false;
   bool racecheckOnly = false;
-  int analysisThreads = 0;  // 0 = auto (hardware concurrency)
-  smt::FastPathMode fastpath = smt::FastPathMode::Full;
-  long long solverBudget = 0;  // steps per solver check; 0 = unlimited
-  int deadlineMs = 0;          // per-region analysis deadline; 0 = none
-  std::string cacheDir;        // "" = no persistent verdict cache
+  std::string cacheDir;  // "" = no persistent verdict cache
   bool cacheStats = false;
-  bool absintFlag = false;
   bool lintOnly = false;
-  racecheck::RaceCheckOptions rcOpts;
+  // One set of driver options serves the race check, the analysis report
+  // and differentiation alike.
+  driver::DriverOptions dopts;
 
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
@@ -222,9 +219,10 @@ int main(int argc, char** argv) {
     else if (arg == "-disasm") disasm = true;
     else if (arg == "-analyze-only") analyzeOnly = true;
     else if (arg == "-emit-c") emitC = true;
-    else if (arg == "-racecheck") racecheckFlag = true;
+    else if (arg == "-racecheck") dopts.racecheckPrimal = true;
     else if (arg == "-racecheck-only") racecheckOnly = true;
-    else if (arg == "-bind") rcOpts.paramValues = parseBindings(next());
+    else if (arg == "-bind")
+      dopts.racecheck.paramValues = parseBindings(next());
     else if (arg == "-lint") lintOnly = true;
     else if (arg == "-pin") {
       std::string item = next();
@@ -233,14 +231,14 @@ int main(int argc, char** argv) {
         std::cerr << "bad -pin entry '" << item << "' (expected name=value)\n";
         return 2;
       }
-      rcOpts.paramValues[item.substr(0, eq)] =
+      dopts.racecheck.paramValues[item.substr(0, eq)] =
           parseIntFlag("-pin", item.substr(eq + 1), INT64_MIN, INT64_MAX,
                        "name=value with an integer value");
     }
     else if (arg == "-absint" || arg.rfind("-absint=", 0) == 0) {
       std::string v = arg == "-absint" ? next() : arg.substr(8);
-      if (v == "on") absintFlag = true;
-      else if (v == "off") absintFlag = false;
+      if (v == "on") dopts.absint = true;
+      else if (v == "off") dopts.absint = false;
       else {
         std::cerr << "bad -absint value '" << v
                   << "' (expected on or off)\n";
@@ -249,32 +247,33 @@ int main(int argc, char** argv) {
     }
     else if (arg == "-coloring") {
       for (const std::string& a : splitCommas(next()))
-        rcOpts.colorings.insert(a);
+        dopts.racecheck.colorings.insert(a);
     }
     else if (arg == "-analysis-threads") {
-      analysisThreads = static_cast<int>(
+      dopts.analysisThreads = static_cast<int>(
           parseIntFlag(arg, next(), 0, INT32_MAX,
                        "an integer >= 0; 0 = auto-detect"));
     }
     else if (arg == "-solver-budget") {
       std::string v = next();
       if (v == "unlimited")
-        solverBudget = 0;
+        dopts.solverStepBudget = 0;
       else
-        solverBudget = parseIntFlag(arg, v, 1, INT64_MAX,
-                                    "a step count >= 1, or 'unlimited'");
+        dopts.solverStepBudget = parseIntFlag(
+            arg, v, 1, INT64_MAX, "a step count >= 1, or 'unlimited'");
     }
     else if (arg == "-cache-dir") cacheDir = next();
     else if (arg == "-cache-stats") cacheStats = true;
     else if (arg == "-deadline-ms") {
-      deadlineMs = static_cast<int>(parseIntFlag(
+      dopts.analysisDeadlineMs = static_cast<int>(parseIntFlag(
           arg, next(), 0, INT32_MAX, "a millisecond count >= 0; 0 = none"));
     }
     else if (arg == "-fastpath" || arg.rfind("-fastpath=", 0) == 0) {
       std::string v = arg == "-fastpath" ? next() : arg.substr(10);
-      if (v == "off") fastpath = smt::FastPathMode::Off;
-      else if (v == "syntactic") fastpath = smt::FastPathMode::Syntactic;
-      else if (v == "full") fastpath = smt::FastPathMode::Full;
+      if (v == "off") dopts.fastpath = smt::FastPathMode::Off;
+      else if (v == "syntactic")
+        dopts.fastpath = smt::FastPathMode::Syntactic;
+      else if (v == "full") dopts.fastpath = smt::FastPathMode::Full;
       else {
         std::cerr << "bad -fastpath value '" << v
                   << "' (expected off, syntactic, or full)\n";
@@ -307,7 +306,7 @@ int main(int argc, char** argv) {
       // Standalone static lint: no solver, no differentiation. Exit 1 iff
       // any linted kernel has findings (the CI smoke job keys off this).
       absint::LintOptions lopts;
-      lopts.paramValues = rcOpts.paramValues;
+      lopts.paramValues = dopts.racecheck.paramValues;
       bool anyFindings = false;
       for (const auto& kp : program.kernels()) {
         if (!head.empty() && kp->name != head) continue;
@@ -327,11 +326,9 @@ int main(int argc, char** argv) {
     if (!cacheDir.empty())
       store = std::make_unique<smt::PersistentVerdictStore>(cacheDir);
 
-    rcOpts.solverSteps = solverBudget;
-    rcOpts.deadlineMs = deadlineMs;
-    rcOpts.store = store.get();
+    dopts.verdictStore = store.get();
     if (racecheckOnly) {
-      auto report = racecheck::checkKernelRaces(primal, rcOpts);
+      auto report = driver::checkRaces(primal, dopts);
       std::cout << report.describe();
       if (cacheStats && store != nullptr) printStoreStats(*store);
       return report.overall() == racecheck::RaceVerdict::Racy ? 1 : 0;
@@ -353,18 +350,18 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    driver::DriverOptions analyzeOpts;
     // Hybrid analyzes with per-site verdicts so the report shows which
-    // access sites stay shared and which need a residual guard.
-    if (mode == "hybrid") analyzeOpts.mode = driver::AdjointMode::Hybrid;
-    analyzeOpts.analysisThreads = analysisThreads;
-    analyzeOpts.fastpath = fastpath;
-    analyzeOpts.absint = absintFlag;
-    analyzeOpts.racecheck = rcOpts;
-    analyzeOpts.solverStepBudget = solverBudget;
-    analyzeOpts.analysisDeadlineMs = deadlineMs;
-    analyzeOpts.verdictStore = store.get();
-    auto analysis = driver::analyze(primal, indeps, deps, analyzeOpts);
+    // access sites stay shared and which need a residual guard. An unknown
+    // mode still gets its (FormAD) report and fails only when it would
+    // differentiate.
+    bool modeKnown = true;
+    if (mode == "hybrid") dopts.mode = driver::AdjointMode::Hybrid;
+    else if (mode == "atomic") dopts.mode = driver::AdjointMode::Atomic;
+    else if (mode == "reduction") dopts.mode = driver::AdjointMode::Reduction;
+    else if (mode == "serial") dopts.mode = driver::AdjointMode::Serial;
+    else if (mode == "plain") dopts.mode = driver::AdjointMode::Plain;
+    else modeKnown = mode == "formad";
+    auto analysis = driver::analyze(primal, indeps, deps, dopts);
     std::cerr << core::describe(analysis);
     std::cerr << core::describeTiers(analysis);
     if (cacheStats) {
@@ -372,26 +369,10 @@ int main(int argc, char** argv) {
       if (store != nullptr) printStoreStats(*store);
     }
     if (analyzeOnly) return 0;
-
-    driver::DriverOptions dopts;
-    if (mode == "formad") dopts.mode = driver::AdjointMode::FormAD;
-    else if (mode == "hybrid") dopts.mode = driver::AdjointMode::Hybrid;
-    else if (mode == "atomic") dopts.mode = driver::AdjointMode::Atomic;
-    else if (mode == "reduction") dopts.mode = driver::AdjointMode::Reduction;
-    else if (mode == "serial") dopts.mode = driver::AdjointMode::Serial;
-    else if (mode == "plain") dopts.mode = driver::AdjointMode::Plain;
-    else return usage();
-    dopts.racecheckPrimal = racecheckFlag;
-    dopts.racecheck = rcOpts;
-    dopts.analysisThreads = analysisThreads;
-    dopts.fastpath = fastpath;
-    dopts.absint = absintFlag;
-    dopts.solverStepBudget = solverBudget;
-    dopts.analysisDeadlineMs = deadlineMs;
-    dopts.verdictStore = store.get();
+    if (!modeKnown) return usage();
 
     auto dr = driver::differentiate(primal, indeps, deps, dopts);
-    if (racecheckFlag) std::cerr << dr.raceReport.describe();
+    if (dopts.racecheckPrimal) std::cerr << dr.raceReport.describe();
     for (const auto& w : dr.warnings) std::cerr << "warning: " << w << "\n";
     // Hybrid surfaces the builder's per-increment choice (stable format;
     // absent in every other mode, keeping their output byte-identical).

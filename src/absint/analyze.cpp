@@ -50,8 +50,8 @@ struct Interp {
   RegionFacts* rf = nullptr;
   const cfg::Cfg* cfg = nullptr;
   const cfg::ContextTree* tree = nullptr;
-  std::map<const ir::For*, size_t> regionIndex;
-  std::map<const ir::If*, size_t> guardIndex;
+  std::map<const ir::For*, size_t> regionIndex{};
+  std::map<const ir::If*, size_t> guardIndex{};
 
   [[nodiscard]] bool tracked(const std::string& name) const {
     const analysis::Symbol* s = syms.find(name);

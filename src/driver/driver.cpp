@@ -12,12 +12,14 @@ using namespace ::formad::ir;
 
 namespace {
 
-/// Env-gated fault injection for the CI smoke job: FORMAD_FAULT_UNKNOWN_AT
-/// and FORMAD_FAULT_THROW_AT name the 1-based ordinal of the solver check
-/// (counted process-wide across driver calls) to force to a
-/// budget-exhausted Unknown / a thrown formad::Error. Returns nullptr when
-/// neither is set.
-smt::FaultInject* envFaultInjection() {
+/// The fault-injection harness a call runs under: DriverOptions::faultInject
+/// when set, else the env-gated one for the CI smoke job —
+/// FORMAD_FAULT_UNKNOWN_AT and FORMAD_FAULT_THROW_AT name the 1-based
+/// ordinal of the solver check (counted process-wide across driver calls)
+/// to force to a budget-exhausted Unknown / a thrown formad::Error.
+/// nullptr when none is configured.
+smt::FaultInject* faultInjectionOf(const DriverOptions& opts) {
+  if (opts.faultInject != nullptr) return opts.faultInject;
   static smt::FaultInject fault;
   static const bool configured = [] {
     if (const char* u = std::getenv("FORMAD_FAULT_UNKNOWN_AT"))
@@ -27,6 +29,17 @@ smt::FaultInject* envFaultInjection() {
     return fault.unknownAtCheck > 0 || fault.throwAtCheck > 0;
   }();
   return configured ? &fault : nullptr;
+}
+
+/// The analysis pool a call runs on: the caller's pool when set, else a
+/// private WorkPool of the resolved width, held in `owned` (width 1 runs
+/// inline and starts no thread).
+support::TaskPool* resolvePool(const DriverOptions& opts,
+                               std::unique_ptr<support::WorkPool>& owned) {
+  if (opts.analysisPool != nullptr) return opts.analysisPool;
+  owned = std::make_unique<support::WorkPool>(
+      resolveAnalysisThreads(opts.analysisThreads));
+  return owned.get();
 }
 
 }  // namespace
@@ -91,33 +104,19 @@ DifferentiateResult differentiate(const Kernel& primal,
                                   const DriverOptions& dopts) {
   DifferentiateResult result;
 
-  // One worker pool for the whole analysis phase: the race checker's
-  // converse queries and FormAD's exploitation queries share it, so a
-  // driver invocation spins threads up at most once. A caller-owned pool
-  // (serving daemon sessions) wins outright — threads spin up once per
-  // process, not per request.
-  const int analysisThreads = dopts.analysisPool != nullptr
-                                  ? dopts.analysisPool->width()
-                                  : resolveAnalysisThreads(dopts.analysisThreads);
+  // One worker pool and one fault harness for the whole analysis phase:
+  // the race checker's converse queries and FormAD's exploitation queries
+  // share them, so a driver invocation spins threads up at most once and
+  // counts injected faults across both. A caller-owned pool (serving
+  // daemon sessions) wins outright — threads spin up once per process, not
+  // per request.
   std::unique_ptr<support::WorkPool> ownedPool;
-  support::TaskPool* poolPtr = dopts.analysisPool;
-  if (poolPtr == nullptr && analysisThreads > 1) {
-    ownedPool = std::make_unique<support::WorkPool>(analysisThreads);
-    poolPtr = ownedPool.get();
-  }
-
-  smt::FaultInject* fault =
-      dopts.faultInject != nullptr ? dopts.faultInject : envFaultInjection();
+  DriverOptions shared = dopts;
+  shared.analysisPool = resolvePool(dopts, ownedPool);
+  shared.faultInject = faultInjectionOf(dopts);
 
   if (dopts.racecheckPrimal) {
-    racecheck::RaceCheckOptions ropts = dopts.racecheck;
-    ropts.pool = poolPtr;
-    ropts.fastpath = dopts.fastpath;
-    ropts.solverSteps = dopts.solverStepBudget;
-    ropts.deadlineMs = dopts.analysisDeadlineMs;
-    ropts.faultInject = fault;
-    ropts.store = dopts.verdictStore;
-    result.raceReport = racecheck::checkKernelRaces(primal, ropts);
+    result.raceReport = checkRaces(primal, shared);
     long long rcExhausted = 0, rcDegraded = 0;
     for (const auto& region : result.raceReport.regions) {
       rcExhausted += region.budgetExhaustedChecks;
@@ -171,21 +170,7 @@ DifferentiateResult differentiate(const Kernel& primal,
       break;
     case AdjointMode::FormAD:
     case AdjointMode::Hybrid: {
-      core::AnalyzeOptions aopts;
-      aopts.exploit.threads = analysisThreads;
-      aopts.exploit.pool = poolPtr;
-      aopts.exploit.fastpath = dopts.fastpath;
-      aopts.exploit.solverSteps = dopts.solverStepBudget;
-      aopts.exploit.deadlineMs = dopts.analysisDeadlineMs;
-      aopts.exploit.faultInject = fault;
-      aopts.exploit.store = dopts.verdictStore;
-      // Hybrid consumes per-(var, access-site) verdicts, so replay must
-      // answer every pair instead of taking the per-variable early exit.
-      aopts.exploit.siteVerdicts = dopts.mode == AdjointMode::Hybrid;
-      aopts.model.absint = dopts.absint;
-      aopts.model.paramValues = dopts.racecheck.paramValues;
-      result.analysis =
-          core::analyzeKernel(primal, independents, dependents, aopts);
+      result.analysis = analyze(primal, independents, dependents, shared);
       // Satisfiability safeguard: contradictory knowledge means the primal
       // itself is racy; an adjoint generated from it would inherit the bug.
       for (const auto& r : result.analysis.regions)
@@ -239,29 +224,34 @@ core::KernelAnalysis analyze(const Kernel& primal,
                              const std::vector<std::string>& independents,
                              const std::vector<std::string>& dependents,
                              const DriverOptions& opts) {
+  std::unique_ptr<support::WorkPool> ownedPool;
   core::AnalyzeOptions aopts;
-  aopts.exploit.threads = resolveAnalysisThreads(opts.analysisThreads);
+  aopts.exploit.pool = resolvePool(opts, ownedPool);
   aopts.exploit.fastpath = opts.fastpath;
   aopts.exploit.solverSteps = opts.solverStepBudget;
   aopts.exploit.deadlineMs = opts.analysisDeadlineMs;
-  // Analyze-only callers opt into per-site verdicts via the mode knob (the
-  // serving daemon's "safeguard": "hybrid" request option lands here).
+  // Hybrid consumes per-(var, access-site) verdicts, so replay must answer
+  // every pair instead of taking the per-variable early exit (the serving
+  // daemon's "safeguard": "hybrid" request option lands here too).
   aopts.exploit.siteVerdicts = opts.mode == AdjointMode::Hybrid;
-  smt::FaultInject* fault =
-      opts.faultInject != nullptr ? opts.faultInject : envFaultInjection();
-  aopts.exploit.faultInject = fault;
+  aopts.exploit.faultInject = faultInjectionOf(opts);
   aopts.exploit.store = opts.verdictStore;
   aopts.model.absint = opts.absint;
   aopts.model.paramValues = opts.racecheck.paramValues;
-  std::unique_ptr<support::WorkPool> pool;
-  if (opts.analysisPool != nullptr) {
-    aopts.exploit.pool = opts.analysisPool;
-    aopts.exploit.threads = opts.analysisPool->width();
-  } else if (aopts.exploit.threads > 1) {
-    pool = std::make_unique<support::WorkPool>(aopts.exploit.threads);
-    aopts.exploit.pool = pool.get();
-  }
   return core::analyzeKernel(primal, independents, dependents, aopts);
+}
+
+racecheck::RaceReport checkRaces(const Kernel& primal,
+                                 const DriverOptions& opts) {
+  std::unique_ptr<support::WorkPool> ownedPool;
+  racecheck::RaceCheckOptions ropts = opts.racecheck;
+  ropts.pool = resolvePool(opts, ownedPool);
+  ropts.fastpath = opts.fastpath;
+  ropts.solverSteps = opts.solverStepBudget;
+  ropts.deadlineMs = opts.analysisDeadlineMs;
+  ropts.faultInject = faultInjectionOf(opts);
+  ropts.store = opts.verdictStore;
+  return racecheck::checkKernelRaces(primal, ropts);
 }
 
 }  // namespace formad::driver

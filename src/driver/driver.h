@@ -35,7 +35,9 @@ struct DriverOptions {
   /// generation with the witness; an inconclusive verdict degrades to a
   /// warning in DifferentiateResult::warnings.
   bool racecheckPrimal = false;
-  /// Pins / coloring facts forwarded to the race checker.
+  /// Race-checker options: pins, coloring facts, witness cap, cancel
+  /// token. checkRaces() sets their pool, fast-path, budget, deadline,
+  /// fault and store fields from the analysis-wide knobs below.
   racecheck::RaceCheckOptions racecheck;
   /// Worker threads for the analysis phase (FormAD exploitation queries and
   /// the race checker's converse queries, which share one pool). 0 = auto
@@ -154,7 +156,8 @@ struct DifferentiateResult {
     const std::vector<std::string>& dependents, AdjointMode mode,
     bool omitTapeFreePrimalSweep = false);
 
-/// Runs the FormAD analysis alone (Table 1 statistics, verdicts). Honors
+/// Runs the FormAD analysis alone (Table 1 statistics, verdicts) — the only
+/// place DriverOptions become core::AnalyzeOptions. Honors
 /// analysisThreads (default 0 = auto width; reports are byte-identical at
 /// any width), analysisPool, fastpath, absint, solverStepBudget,
 /// analysisDeadlineMs, faultInject and verdictStore. Of the race-check
@@ -165,5 +168,15 @@ struct DifferentiateResult {
 [[nodiscard]] core::KernelAnalysis analyze(
     const ir::Kernel& primal, const std::vector<std::string>& independents,
     const std::vector<std::string>& dependents, const DriverOptions& opts = {});
+
+/// Runs the static race checker alone — the only place DriverOptions become
+/// racecheck::RaceCheckOptions. Starts from `racecheck` (pins, colorings,
+/// witness cap, cancel token) and applies the analysis-wide knobs the same
+/// way analyze() does: analysisThreads / analysisPool, fastpath,
+/// solverStepBudget, analysisDeadlineMs, faultInject (else the
+/// FORMAD_FAULT_* variables) and verdictStore. Reports are byte-identical
+/// at any pool width.
+[[nodiscard]] racecheck::RaceReport checkRaces(const ir::Kernel& primal,
+                                               const DriverOptions& opts = {});
 
 }  // namespace formad::driver

@@ -4,10 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <tuple>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
 
 #include "smt/diskcache.h"
 #include "smt/fingerprint.h"
@@ -327,8 +328,13 @@ QueryResult QueryScheduler::evaluate(smt::Solver& solver, int& cur,
   return r;
 }
 
-RegionVerdict QueryScheduler::replay(
-    const std::function<const QueryResult&(int)>& getResult) const {
+RegionVerdict QueryScheduler::replay(const std::vector<QueryResult>& results,
+                                     const std::vector<char>& skipped) const {
+  auto resultOf = [&](int i) -> const QueryResult& {
+    FORMAD_ASSERT(skipped[static_cast<size_t>(i)] == 0,
+                  "replay read a task the scheduler skipped");
+    return results[static_cast<size_t>(i)];
+  };
   RegionVerdict verdict;
   verdict.loop = model_.loop;
   verdict.modelAssertions = model_.modelSize();
@@ -417,7 +423,7 @@ RegionVerdict QueryScheduler::replay(
   std::map<std::string, PairOutcome> pairVerdicts;
   for (const auto& step : schedule_) {
     if (step.op == Step::Op::Consistency) {
-      const QueryResult& res = getResult(step.taskIndex);
+      const QueryResult& res = resultOf(step.taskIndex);
       // A consistency probe that cancellation stopped skips silently:
       // claiming a contradiction it did not prove would be unsound, and
       // the safeguard still holds wherever evaluation did run.
@@ -457,7 +463,7 @@ RegionVerdict QueryScheduler::replay(
       ++verdict.pairCacheHits;
       outcome = cached->second;
     } else {
-      const QueryResult& res = getResult(step.taskIndex);
+      const QueryResult& res = resultOf(step.taskIndex);
       accountChecks(tasks_[static_cast<size_t>(step.taskIndex)], res);
       if (!res.evaluated) {
         // Cancellation (deadline or task failure) stopped this task before
@@ -505,7 +511,10 @@ RegionVerdict QueryScheduler::replay(
 RegionVerdict QueryScheduler::run(support::TaskPool* pool,
                                   support::CancelToken* cancel) {
   auto t0 = std::chrono::steady_clock::now();
-  const int width = pool != nullptr ? pool->width() : 1;
+  // A null pool is a one-worker pool: it runs inline and starts no thread.
+  support::WorkPool inlinePool(1);
+  if (pool == nullptr) pool = &inlinePool;
+  const int width = pool->width();
 
   // Fault injection disables persistence entirely: an injected verdict is
   // not a pure function of its conjunction, so it must neither be served
@@ -515,21 +524,14 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
 
   std::vector<QueryResult> results(tasks_.size());
   long long splicedCount = 0;
-  long long skippedCount = 0;
   RegionVerdict verdict;
-  double replaySeconds = 0.0;
 
   // Incremental splice: serve whole task outcomes persisted by earlier
   // runs for conjunctions whose fingerprints did not move. A spliced task
-  // is marked evaluated, so neither evaluation mode touches a solver for
-  // it — the steady-state warm run does no solver work at all. Replay
-  // consumes spliced and fresh results identically (both are pure
-  // functions of conjunction + budget), keeping the report byte-identical
-  // to a cold run at any width. A run persists only the tasks it
-  // evaluates, and neither path evaluates a task replay provably skips,
-  // so both probe the store only for tasks replay may read: the lazy
-  // serial path on demand, the eager parallel path in one pass along the
-  // schedule (below). Probing any other task would be a guaranteed miss.
+  // is marked evaluated, so no solver touches it — the steady-state warm
+  // run does no solver work at all. Replay consumes spliced and fresh
+  // results identically (both are pure functions of conjunction +
+  // budget), keeping the report byte-identical to a cold run at any width.
   auto adoptRecord = [&](size_t i,
                          smt::PersistentVerdictStore::TaskRecord&& rec) {
     QueryResult& r = results[i];
@@ -548,15 +550,6 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     if (!rec) return;
     adoptRecord(i, std::move(*rec));
     ++splicedCount;
-  };
-
-  // Gathers per-solver stats into the verdict's fresh-work diagnostics
-  // (fresh = not served by the store; tier-2 fresh = full solves).
-  auto addSolverStats = [&](const smt::Solver& s) {
-    const auto& st = s.stats();
-    verdict.freshSolverChecks += st.checks - st.cacheHits;
-    verdict.freshTier2Solves += st.checks - st.cacheHits - st.fastpathTier0 -
-                                st.fastpathTier1;
   };
 
   // Single-flight evaluation of one fresh (non-spliced) task. With a store
@@ -594,167 +587,148 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     persistedCount.fetch_add(1, std::memory_order_relaxed);
   };
 
-  if (width > 1 && tasks_.size() > 1) {
-    // Early-exit-aware speculation. Replay reads a task only at a step it
-    // reaches with the step's variable still safe (the per-variable early
-    // exit, paper Sec. 7.5) and before any knowledge contradiction. Every
-    // outcome is a pure function of its conjunction, so each evaluated or
-    // spliced one is a fact about replay: an unsafe pair makes every
-    // variable it is asked under unsafe from that step on, and an Unsat
-    // consistency check ends replay at its step. A task all of whose steps
-    // lie past such a point is never read, so it is skipped instead of
-    // evaluated. Which tasks get skipped depends on timing, but replay
-    // reads none of them at any timing, so every verdict and counter stays
-    // byte-identical. Under siteVerdicts replay has no per-variable exit,
-    // so only contradictions skip.
-    constexpr size_t kNever = SIZE_MAX;
-    std::vector<std::atomic<size_t>> unsafeFrom(model_.questions.size());
-    for (auto& u : unsafeFrom) u = kNever;
-    std::atomic<size_t> stopAt{kNever};
-    auto lower = [](std::atomic<size_t>& a, size_t pos) {
-      size_t cur = a.load();
-      while (pos < cur && !a.compare_exchange_weak(cur, pos)) {
-      }
-    };
-    auto learn = [&](size_t i) {
-      const QueryResult& r = results[i];
-      if (!r.evaluated) return;
-      if (tasks_[i].kind == QueryTask::Kind::Consistency) {
-        if (r.unsat) lower(stopAt, taskSteps_[i].front());
-      } else if (!r.pairSafe && !opts_.siteVerdicts) {
-        for (size_t pos : taskSteps_[i])
-          lower(unsafeFrom[schedule_[pos].varIndex], pos);
-      }
-    };
-    // True iff replay provably passes step `pos` without reading its task.
-    auto stepDead = [&](size_t pos) {
-      if (pos > stopAt.load()) return true;
-      const Step& s = schedule_[pos];
-      return s.op == Step::Op::Question && pos > unsafeFrom[s.varIndex].load();
-    };
-
-    // Splice along the schedule, learning from each record as it lands:
-    // the probes then follow replay's own path, so a warm run of an
-    // unchanged kernel probes only tasks replay reads — each persisted by
-    // whichever earlier run evaluated it.
-    if (store != nullptr) {
-      std::vector<char> probed(tasks_.size(), 0);
-      for (size_t pos = 0; pos < schedule_.size(); ++pos) {
-        const auto i = static_cast<size_t>(schedule_[pos].taskIndex);
-        if (probed[i] != 0 || stepDead(pos)) continue;
-        probed[i] = 1;
-        spliceTask(i);
-        learn(i);
-      }
+  // Early-exit awareness. Replay reads a task only at a step it reaches
+  // with the step's variable still safe (the per-variable early exit,
+  // paper Sec. 7.5) and before any knowledge contradiction. Every outcome
+  // is a pure function of its conjunction, so each evaluated or spliced
+  // one is a fact about replay: an unsafe pair makes every variable it is
+  // asked under unsafe from that step on, and an Unsat consistency check
+  // ends replay at its step. A task all of whose steps lie past such a
+  // point is never read, so it is skipped instead of evaluated. Which
+  // tasks get skipped may depend on timing, but replay reads none of them
+  // at any timing, so every verdict and counter stays byte-identical.
+  // Under siteVerdicts replay has no per-variable exit, so only
+  // contradictions skip.
+  constexpr size_t kNever = SIZE_MAX;
+  std::vector<std::atomic<size_t>> unsafeFrom(model_.questions.size());
+  for (auto& u : unsafeFrom) u = kNever;
+  std::atomic<size_t> stopAt{kNever};
+  auto lower = [](std::atomic<size_t>& a, size_t pos) {
+    size_t cur = a.load();
+    while (pos < cur && !a.compare_exchange_weak(cur, pos)) {
     }
-
-    // Speculative evaluation over prefix-sharing batches: tasks are
-    // grouped into contiguous runs of the canonical plan order (the DFS
-    // emits tasks of one context consecutively, so a batch's tasks share
-    // long base prefixes), and each worker walks between bases with
-    // incremental push/pop on its thread-confined solver instead of
-    // rebuilding the stack per task. All workers share the verdict store,
-    // if any. Several batches per worker keep the pool's dynamic
-    // self-scheduling effective on uneven batch costs, and let outcomes of
-    // the batches that run first skip tasks of the ones that run later.
-    const size_t nBatches =
-        std::min(tasks_.size(), static_cast<size_t>(width) * 8);
-    std::vector<std::unique_ptr<smt::Solver>> solvers;
-    std::vector<int> atBase(static_cast<size_t>(width), -1);
-    std::vector<char> skipped(tasks_.size(), 0);
-    solvers.reserve(static_cast<size_t>(width));
-    for (int w = 0; w < width; ++w) {
-      solvers.push_back(std::make_unique<smt::Solver>(*model_.atoms));
-      solvers.back()->attachStore(store);
-      solvers.back()->setFastPathMode(opts_.fastpath);
-      solvers.back()->setStepBudget(opts_.solverSteps);
-      solvers.back()->setCancelToken(cancel);
-      solvers.back()->setFaultInjection(opts_.faultInject);
-      solvers.back()->setAbsintHints(&model_.hints);
+  };
+  auto learn = [&](size_t i) {
+    const QueryResult& r = results[i];
+    if (!r.evaluated) return;
+    if (tasks_[i].kind == QueryTask::Kind::Consistency) {
+      if (r.unsat) lower(stopAt, taskSteps_[i].front());
+    } else if (!r.pairSafe && !opts_.siteVerdicts) {
+      for (size_t pos : taskSteps_[i])
+        lower(unsafeFrom[schedule_[pos].varIndex], pos);
     }
-    pool->run(
-        nBatches,
-        [&](size_t b, int w) {
-          const size_t lo = b * tasks_.size() / nBatches;
-          const size_t hi = (b + 1) * tasks_.size() / nBatches;
-          smt::Solver& solver = *solvers[static_cast<size_t>(w)];
-          for (size_t i = lo; i < hi; ++i) {
-            if (results[i].evaluated) continue;  // spliced from the store
-            if (cancel != nullptr && cancel->cancelled()) return;
-            if (std::all_of(taskSteps_[i].begin(), taskSteps_[i].end(),
-                            stepDead)) {
-              skipped[i] = 1;
-              continue;
-            }
-            try {
-              claimEvaluate(solver, atBase[static_cast<size_t>(w)], i);
-            } catch (const support::Cancelled&) {
-              // The token fired mid-check. The unwind may have skipped
-              // pops, so this worker's solver stack no longer matches its
-              // atBase trail — abandon the batch (the pool skips every
-              // later claim once the token is set, so the solver is never
-              // touched again). The task stays unevaluated; replay
-              // degrades it.
-              results[i] = QueryResult{};
-              return;
-            }
-            learn(i);
-          }
-        },
-        cancel);
-    auto tReplay = std::chrono::steady_clock::now();
-    verdict = replay([&](int i) -> const QueryResult& {
-      FORMAD_ASSERT(skipped[static_cast<size_t>(i)] == 0,
-                    "replay read a task the eager path skipped");
-      return results[static_cast<size_t>(i)];
-    });
-    skippedCount = std::count(skipped.begin(), skipped.end(), 1);
-    replaySeconds = secondsSince(tReplay);
-    verdict.threadsUsed = width;
-    for (const auto& s : solvers) addSolverStats(*s);
-  } else {
-    // Lazy evaluation: tasks run on demand during replay over ONE
-    // persistent incremental trail (replay demands tasks in canonical DFS
-    // order, so consecutive demands share long prefixes too), reproducing
-    // the serial walk's exact work profile — skipped tasks are never
-    // evaluated.
-    smt::Solver solver(*model_.atoms);
-    solver.attachStore(store);
-    solver.setFastPathMode(opts_.fastpath);
-    solver.setStepBudget(opts_.solverSteps);
-    solver.setCancelToken(cancel);
-    solver.setFaultInjection(opts_.faultInject);
-    solver.setAbsintHints(&model_.hints);
-    int atBase = -1;
-    double evalSeconds = 0.0;
-    bool abandoned = false;  // solver stack desynced by a mid-check cancel
-    std::vector<char> demanded(tasks_.size(), 0);
-    verdict = replay([&](int i) -> const QueryResult& {
-      demanded[static_cast<size_t>(i)] = 1;
-      QueryResult& r = results[static_cast<size_t>(i)];
-      if (!r.evaluated) spliceTask(static_cast<size_t>(i));
-      if (!r.evaluated && !abandoned &&
-          (cancel == nullptr || !cancel->poll())) {
-        try {
-          claimEvaluate(solver, atBase, static_cast<size_t>(i));
-          evalSeconds += r.seconds;
-        } catch (const support::Cancelled&) {
-          abandoned = true;
-          r = QueryResult{};
-        }
-      }
-      return r;
-    });
-    skippedCount = std::count(demanded.begin(), demanded.end(), 0);
-    replaySeconds = secondsSince(t0) - evalSeconds;
-    verdict.threadsUsed = 1;
-    addSolverStats(solver);
+  };
+  // True iff replay provably passes step `pos` without reading its task.
+  auto stepDead = [&](size_t pos) {
+    if (pos > stopAt.load()) return true;
+    const Step& s = schedule_[pos];
+    return s.op == Step::Op::Question && pos > unsafeFrom[s.varIndex].load();
+  };
+
+  // One thread-confined solver per worker; all share the verdict store,
+  // if any.
+  std::vector<std::unique_ptr<smt::Solver>> solvers;
+  std::vector<int> atBase(static_cast<size_t>(width), -1);
+  solvers.reserve(static_cast<size_t>(width));
+  for (int w = 0; w < width; ++w) {
+    solvers.push_back(std::make_unique<smt::Solver>(*model_.atoms));
+    solvers.back()->attachStore(store);
+    solvers.back()->setFastPathMode(opts_.fastpath);
+    solvers.back()->setStepBudget(opts_.solverSteps);
+    solvers.back()->setCancelToken(cancel);
+    solvers.back()->setFaultInjection(opts_.faultInject);
+    solvers.back()->setAbsintHints(&model_.hints);
   }
 
+  // The serial half: walk the schedule, visiting each task at the first
+  // step replay may read, learning from every outcome as it lands — so the
+  // walk follows replay's own path. It serves each task the store holds:
+  // a warm run of an unchanged kernel probes only tasks replay reads, each
+  // persisted by whichever earlier run evaluated it. When the calling
+  // thread is the pool's only worker, the walk also evaluates each miss
+  // in place on that worker's solver: the paper's testVar walk, which
+  // evaluates exactly the tasks replay reads.
+  const bool walkEvaluates = width == 1;
+  if (store != nullptr || walkEvaluates) {
+    std::vector<char> visited(tasks_.size(), 0);
+    for (size_t pos = 0; pos < schedule_.size(); ++pos) {
+      const auto i = static_cast<size_t>(schedule_[pos].taskIndex);
+      if (visited[i] != 0 || stepDead(pos)) continue;
+      visited[i] = 1;
+      spliceTask(i);
+      if (walkEvaluates && !results[i].evaluated &&
+          (cancel == nullptr || !cancel->poll())) {
+        try {
+          claimEvaluate(*solvers[0], atBase[0], i);
+        } catch (const support::Cancelled&) {
+          // The token fired mid-check and stays fired, so neither this
+          // walk nor the batches evaluate again; replay degrades the task.
+          results[i] = QueryResult{};
+        }
+      }
+      learn(i);
+    }
+  }
+
+  // Speculative evaluation of whatever the walk left, over prefix-sharing
+  // batches: tasks are grouped into contiguous runs of the canonical plan
+  // order (the DFS emits tasks of one context consecutively, so a batch's
+  // tasks share long base prefixes), and each worker walks between bases
+  // with incremental push/pop on its solver instead of rebuilding the
+  // stack per task. Several batches per worker keep the pool's dynamic
+  // self-scheduling effective on uneven batch costs, and let outcomes of
+  // the batches that run first skip tasks of the ones that run later. At
+  // width 1 the walk left nothing to evaluate, and the batches only mark
+  // the tasks it never reached as skipped.
+  const size_t nBatches =
+      std::min(tasks_.size(), static_cast<size_t>(width) * 8);
+  std::vector<char> skipped(tasks_.size(), 0);
+  pool->run(
+      nBatches,
+      [&](size_t b, int w) {
+        const size_t lo = b * tasks_.size() / nBatches;
+        const size_t hi = (b + 1) * tasks_.size() / nBatches;
+        smt::Solver& solver = *solvers[static_cast<size_t>(w)];
+        for (size_t i = lo; i < hi; ++i) {
+          if (results[i].evaluated) continue;  // spliced or walked
+          if (cancel != nullptr && cancel->cancelled()) return;
+          if (std::all_of(taskSteps_[i].begin(), taskSteps_[i].end(),
+                          stepDead)) {
+            skipped[i] = 1;
+            continue;
+          }
+          try {
+            claimEvaluate(solver, atBase[static_cast<size_t>(w)], i);
+          } catch (const support::Cancelled&) {
+            // The token fired mid-check. The unwind may have skipped pops,
+            // so this worker's solver stack no longer matches its atBase
+            // trail — abandon the batch (the pool skips every later claim
+            // once the token is set, so the solver is never touched
+            // again). The task stays unevaluated; replay degrades it.
+            results[i] = QueryResult{};
+            return;
+          }
+          learn(i);
+        }
+      },
+      cancel);
+
+  auto tReplay = std::chrono::steady_clock::now();
+  verdict = replay(results, skipped);
+  const double replaySeconds = secondsSince(tReplay);
+  verdict.threadsUsed = width;
+  for (const auto& s : solvers) {
+    // Fresh work: checks the store did not serve (tier-2 fresh = full
+    // solves).
+    const auto& st = s->stats();
+    verdict.freshSolverChecks += st.checks - st.cacheHits;
+    verdict.freshTier2Solves += st.checks - st.cacheHits - st.fastpathTier0 -
+                                st.fastpathTier1;
+  }
   verdict.tasksSpliced = splicedCount;
   verdict.tasksJoined = joinedCount.load(std::memory_order_relaxed);
   verdict.tasksPersisted = persistedCount.load(std::memory_order_relaxed);
-  verdict.tasksSkipped = skippedCount;
+  verdict.tasksSkipped = std::count(skipped.begin(), skipped.end(), 1);
 
   verdict.taskSeconds.reserve(results.size());
   for (const auto& r : results) verdict.taskSeconds.push_back(r.seconds);

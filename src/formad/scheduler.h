@@ -16,7 +16,16 @@
 //                node of a shared prefix tree rather than by copy, so
 //                consecutive tasks share long context prefixes by
 //                construction.
-//   2. evaluate — run the tasks speculatively across the worker pool, one
+//   2. evaluate — first a walk along the schedule, then speculative
+//                batches for what it left. The walk visits each task at
+//                the first step replay may read, learning from every
+//                outcome as it lands: an unsafe pair ends its variable's
+//                steps (the per-variable early exit) and a knowledge
+//                contradiction ends the walk. It serves store records, and
+//                when the calling thread is the pool's only worker it also
+//                evaluates each miss in place — the paper's serial walk,
+//                which evaluates exactly the tasks replay reads. The
+//                batches then run the rest across the pool, one
 //                thread-confined smt::Solver per worker, all caching
 //                through the verdict store when one is attached (without
 //                one, every check is decided). Tasks are grouped into
@@ -24,17 +33,11 @@
 //                order: a worker walks from one task's base to the next by
 //                popping to their common ancestor and pushing the delta
 //                (incremental push/pop, handing over the constraint keys
-//                the plan already derived), instead of reset-per-task.
-//                Speculation is early-exit-aware: each outcome known so
-//                far (evaluated, or spliced from a store) marks the steps
-//                replay will pass without reading — those behind a
-//                variable's first unsafe pair, or behind a knowledge
-//                contradiction — and a task whose steps are all such is
-//                skipped, not evaluated. With one worker, evaluation is
-//                instead lazy — tasks run on demand during replay over one
-//                persistent incremental trail, which reproduces the serial
-//                walk's exact work profile; the eager path matches that
-//                profile whenever tasks complete in plan order.
+//                the plan already derived), instead of reset-per-task. The
+//                batches are early-exit-aware too: a task whose steps the
+//                outcomes known so far all prove dead is skipped, not
+//                evaluated. Outcomes arrive in completion order there, so
+//                the batches may evaluate tasks the serial walk skips.
 //   3. replay  — re-walk the canonical serial schedule consuming task
 //                results, reconstructing the verdicts, the per-var early
 //                exits, the pair cache hits, the query/solver-cache-hit
@@ -47,7 +50,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -125,14 +127,15 @@ class QueryScheduler {
 
   [[nodiscard]] const std::vector<QueryTask>& tasks() const { return tasks_; }
 
-  /// Evaluates the plan and replays the canonical schedule. `pool` may be
-  /// null (serial). The returned verdict is bit-identical regardless of
-  /// pool width; only wall-clock observables (analysisSeconds, planSeconds,
-  /// taskSeconds, threadsUsed) and work diagnostics (which tasks were
-  /// skipped, fresh solver work) vary. `cancel`, when non-null, is the
-  /// region's cooperative cancellation token: tasks it stops before they
-  /// evaluate degrade to unsafe pairs in replay (which pairs depends on
-  /// timing — cancellation trades reproducibility for liveness).
+  /// Evaluates the plan and replays the canonical schedule. A null `pool`
+  /// runs on one inline worker. The returned verdict is bit-identical
+  /// regardless of pool width; only wall-clock observables
+  /// (analysisSeconds, planSeconds, taskSeconds, threadsUsed) and work
+  /// diagnostics (which tasks were skipped, fresh solver work) vary.
+  /// `cancel`, when non-null, is the region's cooperative cancellation
+  /// token: tasks it stops before they evaluate degrade to unsafe pairs in
+  /// replay (which pairs depends on timing — cancellation trades
+  /// reproducibility for liveness).
   [[nodiscard]] RegionVerdict run(support::TaskPool* pool,
                                   support::CancelToken* cancel = nullptr);
 
@@ -179,11 +182,10 @@ class QueryScheduler {
   /// Evaluates one task on a solver holding the base of `cur` (updated).
   [[nodiscard]] QueryResult evaluate(smt::Solver& solver, int& cur,
                                      const QueryTask& task) const;
-  /// Replays the canonical schedule; `getResult` supplies task outcomes —
-  /// precomputed in the eager (parallel) mode, evaluated on demand in the
-  /// lazy (single-worker) mode.
-  [[nodiscard]] RegionVerdict replay(
-      const std::function<const QueryResult&(int)>& getResult) const;
+  /// Replays the canonical schedule over the task outcomes. `skipped`
+  /// marks the tasks evaluation skipped; replay never reads one.
+  [[nodiscard]] RegionVerdict replay(const std::vector<QueryResult>& results,
+                                     const std::vector<char>& skipped) const;
 
   const RegionModel& model_;
   const ExploitOptions& opts_;

@@ -122,9 +122,7 @@ class RegionChecker {
         privates_(core::privateNames(loop)),
         low_(atoms_, &inst_, privates_, syms_, &pinned_),
         solver_(atoms_) {
-    solver_.setFastPathMode(opts.fastpath);
     solver_.setStepBudget(opts.solverSteps);
-    solver_.setFaultInjection(opts.faultInject);
   }
 
   RegionRaceReport run() {
@@ -151,7 +149,6 @@ class RegionChecker {
     // changes.
     smt::PersistentVerdictStore* store =
         opts_.faultInject == nullptr ? opts_.store : nullptr;
-    solver_.attachStore(store);
 
     // Serial front half: lowering, substitution, and pair enumeration all
     // intern atoms and fill memo tables, so they stay on this thread. The
@@ -162,55 +159,45 @@ class RegionChecker {
     checkSharedScalarWrites();
     std::vector<PairTask> tasks = planArrayPairs();
 
-    // Evaluate every pair query — speculatively across the pool when one is
-    // attached (the AtomTable is read-only from here on), serially on the
-    // region solver otherwise. Each outcome is a pure function of the task,
-    // so the merge below is order-independent of evaluation.
+    // Evaluate every pair query across the pool (the AtomTable is
+    // read-only from here on) on per-worker solvers; without a pool, one
+    // inline worker runs them in order. Each outcome is a pure function of
+    // the task, so the merge below is independent of evaluation order.
     std::vector<PairOutcome> outcomes(tasks.size());
-    support::TaskPool* pool = opts_.pool;
-    if (pool != nullptr && pool->width() > 1 && tasks.size() > 1) {
-      const int width = pool->width();
-      std::vector<std::unique_ptr<smt::Solver>> solvers;
-      std::vector<char> seeded(static_cast<size_t>(width), 0);
-      for (int w = 0; w < width; ++w) {
-        solvers.push_back(std::make_unique<smt::Solver>(atoms_));
-        solvers.back()->attachStore(store);
-        solvers.back()->setFastPathMode(opts_.fastpath);
-        solvers.back()->setStepBudget(opts_.solverSteps);
-        solvers.back()->setCancelToken(cancel);
-        solvers.back()->setFaultInjection(opts_.faultInject);
-      }
-      pool->run(
-          tasks.size(),
-          [&](size_t i, int w) {
-            smt::Solver& s = *solvers[static_cast<size_t>(w)];
-            if (seeded[static_cast<size_t>(w)] == 0) {
-              // Seed the worker's solver on its own thread (solvers are
-              // thread-confined) with the region's base constraints.
-              for (const auto& c : base_) s.add(c);
-              seeded[static_cast<size_t>(w)] = 1;
-            }
-            try {
-              outcomes[i] = evaluatePair(s, tasks[i]);
-            } catch (const support::Cancelled&) {
-              // Token fired mid-check. The unwind may have skipped a pop,
-              // but the pool skips every later claim once the token is
-              // set, so this worker's solver is never used again. The
-              // outcome stays default (skipped); the merge degrades it.
-              outcomes[i] = PairOutcome{};
-            }
-          },
-          cancel);
-    } else {
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        if (cancel != nullptr && cancel->poll()) break;
-        try {
-          outcomes[i] = evaluatePair(solver_, tasks[i]);
-        } catch (const support::Cancelled&) {
-          break;  // solver stack may be desynced; stop using it
-        }
-      }
+    support::WorkPool inlinePool(1);
+    support::TaskPool* pool = opts_.pool != nullptr ? opts_.pool : &inlinePool;
+    const int width = pool->width();
+    std::vector<std::unique_ptr<smt::Solver>> solvers;
+    std::vector<char> seeded(static_cast<size_t>(width), 0);
+    for (int w = 0; w < width; ++w) {
+      solvers.push_back(std::make_unique<smt::Solver>(atoms_));
+      solvers.back()->attachStore(store);
+      solvers.back()->setFastPathMode(opts_.fastpath);
+      solvers.back()->setStepBudget(opts_.solverSteps);
+      solvers.back()->setCancelToken(cancel);
+      solvers.back()->setFaultInjection(opts_.faultInject);
     }
+    pool->run(
+        tasks.size(),
+        [&](size_t i, int w) {
+          smt::Solver& s = *solvers[static_cast<size_t>(w)];
+          if (seeded[static_cast<size_t>(w)] == 0) {
+            // Seed the worker's solver on its own thread (solvers are
+            // thread-confined) with the region's base constraints.
+            for (const auto& c : base_) s.add(c);
+            seeded[static_cast<size_t>(w)] = 1;
+          }
+          try {
+            outcomes[i] = evaluatePair(s, tasks[i]);
+          } catch (const support::Cancelled&) {
+            // Token fired mid-check. The unwind may have skipped a pop,
+            // but the pool skips every later claim once the token is set,
+            // so this worker's solver is never used again. The outcome
+            // stays default (skipped); the merge degrades it.
+            outcomes[i] = PairOutcome{};
+          }
+        },
+        cancel);
 
     // Canonical merge: pair order is the enumeration order, identical at
     // any pool width — as are the witness cap and every counter.
@@ -239,7 +226,7 @@ class RegionChecker {
   std::set<std::string> privates_;
   smt::AtomTable atoms_;
   core::IndexLowering low_;
-  smt::Solver solver_;
+  smt::Solver solver_;  // base conjunction only: shared-scalar witnesses
 
   cfg::Cfg cfg_;
   cfg::ContextTree contexts_;

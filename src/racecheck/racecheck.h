@@ -147,7 +147,8 @@ struct RaceCheckOptions {
   /// Optional externally owned worker pool (shared with the exploitation
   /// scheduler by the driver): per-pair converse queries are evaluated
   /// speculatively across its workers and merged in canonical pair order,
-  /// so the report is bit-identical at any pool width.
+  /// so the report is bit-identical at any pool width. Null runs them on
+  /// one inline worker.
   support::TaskPool* pool = nullptr;
   /// Per-check deterministic solver step budget (<= 0 = unlimited). A
   /// query that runs out is reported undecided with reason "solver step

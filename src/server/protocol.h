@@ -16,7 +16,8 @@
 //    "independents": ["x", ...],           // analyze
 //    "dependents": ["y", ...],             // analyze
 //    "options": {                          // all optional
-//      "threads": N,            // 0 = daemon default (shared pool)
+//      "threads": N,            // 1 = serial; any other value runs on
+//                               // the shared pool at the pool's width
 //      "priority": "high"|"normal"|"low",  // shared-pool class
 //      "fastpath": "off"|"syntactic"|"full",
 //      "absint": true|false,

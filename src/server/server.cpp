@@ -61,6 +61,41 @@ int effectiveDeadline(int requested, int daemonDefault) {
   return requested < 0 ? 0 : requested;
 }
 
+/// The one mapping of request options onto the driver's, shared by the
+/// analyze and racecheck handlers. `fault` receives the request's injected
+/// faults, if any, and must outlive the analysis.
+driver::DriverOptions driverOptions(const RequestOptions& o,
+                                    const ServeOptions& serve,
+                                    smt::PersistentVerdictStore* store,
+                                    support::TaskPool* pool,
+                                    smt::FaultInject& fault) {
+  driver::DriverOptions d;
+  // "threads": 1 runs serially; any other value runs on the shared pool
+  // (null when the daemon itself is serial, which runs inline too).
+  d.analysisThreads = 1;
+  if (o.threads != 1) d.analysisPool = pool;
+  d.fastpath = o.fastpath;
+  d.absint = o.absint;
+  // "safeguard": "hybrid" analyzes with per-(var, access-site) verdicts;
+  // the report gains site lines, default requests stay byte-identical.
+  if (o.hybridSafeguard) d.mode = driver::AdjointMode::Hybrid;
+  d.solverStepBudget = effectiveBudget(o.solverStepBudget,
+                                       serve.defaultSolverBudget);
+  d.analysisDeadlineMs = effectiveDeadline(o.deadlineMs,
+                                           serve.defaultDeadlineMs);
+  d.racecheck.paramValues = o.pins;
+  d.racecheck.colorings = o.colorings;
+  if (o.hasFault()) {
+    fault.unknownAtCheck = o.faultUnknownAt;
+    fault.throwAtCheck = o.faultThrowAt;
+    d.faultInject = &fault;
+  }
+  // The scheduler and the race checker drop the store while fault
+  // injection is active, keeping injected verdicts out of the shared store.
+  d.verdictStore = store;
+  return d;
+}
+
 }  // namespace
 
 AnalysisServer::AnalysisServer(const ServeOptions& opts) : opts_(opts) {
@@ -211,36 +246,9 @@ JsonValue AnalysisServer::handleAnalyze(const Request& req,
                                         support::TaskPool* pool) {
   ir::Program program = parser::parseProgram(req.source);
   const ir::Kernel& primal = resolveHead(program, req.head);
-
-  const RequestOptions& o = req.options;
-  driver::DriverOptions d;
-  d.fastpath = o.fastpath;
-  d.absint = o.absint;
-  // "safeguard": "hybrid" analyzes with per-(var, access-site) verdicts;
-  // the report gains site lines, default requests stay byte-identical.
-  if (o.hybridSafeguard) d.mode = driver::AdjointMode::Hybrid;
-  d.solverStepBudget = effectiveBudget(o.solverStepBudget,
-                                       opts_.defaultSolverBudget);
-  d.analysisDeadlineMs = effectiveDeadline(o.deadlineMs,
-                                           opts_.defaultDeadlineMs);
-  d.racecheck.paramValues = o.pins;
-  d.racecheck.colorings = o.colorings;
-  if (o.threads == 1) {
-    d.analysisThreads = 1;  // explicit serial request: skip the pool
-  } else {
-    d.analysisPool = pool;  // null when the daemon itself is serial
-    d.analysisThreads = 1;
-  }
   smt::FaultInject fault;
-  if (o.hasFault()) {
-    fault.unknownAtCheck = o.faultUnknownAt;
-    fault.throwAtCheck = o.faultThrowAt;
-    d.faultInject = &fault;
-  }
-  // The scheduler and the race checker drop the store while fault
-  // injection is active, keeping injected verdicts out of the shared store.
-  d.verdictStore = store_.get();
-
+  const driver::DriverOptions d =
+      driverOptions(req.options, opts_, store_.get(), pool, fault);
   core::KernelAnalysis analysis =
       driver::analyze(primal, req.independents, req.dependents, d);
 
@@ -263,27 +271,10 @@ JsonValue AnalysisServer::handleRacecheck(const Request& req,
   ir::Program program = parser::parseProgram(req.source);
   const ir::Kernel& primal = resolveHead(program, req.head);
 
-  const RequestOptions& o = req.options;
-  racecheck::RaceCheckOptions r;
-  r.paramValues = o.pins;
-  r.colorings = o.colorings;
-  r.fastpath = o.fastpath;
-  r.solverSteps = effectiveBudget(o.solverStepBudget,
-                                  opts_.defaultSolverBudget);
-  r.deadlineMs = effectiveDeadline(o.deadlineMs, opts_.defaultDeadlineMs);
-  if (o.threads != 1) r.pool = pool;
   smt::FaultInject fault;
-  if (o.hasFault()) {
-    fault.unknownAtCheck = o.faultUnknownAt;
-    fault.throwAtCheck = o.faultThrowAt;
-    r.faultInject = &fault;
-  } else {
-    // Injected verdicts never reach the shared store; the store is only
-    // attached to clean requests.
-    r.store = store_.get();
-  }
-
-  racecheck::RaceReport report = racecheck::checkKernelRaces(primal, r);
+  const driver::DriverOptions d =
+      driverOptions(req.options, opts_, store_.get(), pool, fault);
+  racecheck::RaceReport report = driver::checkRaces(primal, d);
 
   long long exhausted = 0, degraded = 0;
   for (const auto& region : report.regions) {

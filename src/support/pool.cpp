@@ -5,6 +5,23 @@
 
 namespace formad::support {
 
+namespace {
+
+/// Both pools' inline serial path: runs fn(i, 0) for every i in [0, n) on
+/// the calling thread, polling `cancel` before each task, and returns how
+/// many indices the fired token skipped. A thrown task unwinds out of the
+/// loop, so "first exception cancels the rest" holds here for free.
+size_t runInline(size_t n, const std::function<void(size_t, int)>& fn,
+                 CancelToken* cancel) {
+  for (size_t i = 0; i < n; ++i) {
+    if (cancel != nullptr && cancel->poll()) return n - i;
+    fn(i, 0);
+  }
+  return 0;
+}
+
+}  // namespace
+
 WorkPool::WorkPool(int threads) : width_(std::max(1, threads)) {
   workers_.reserve(static_cast<size_t>(width_ - 1));
   for (int w = 1; w < width_; ++w)
@@ -31,16 +48,8 @@ void WorkPool::run(size_t n, const std::function<void(size_t, int)>& fn,
   abort_.store(false, std::memory_order_relaxed);
   if (n == 0) return;
   if (width_ == 1 || n == 1) {
-    // Inline serial fast path: no publication, no wakeups. A thrown task
-    // stops the loop by unwinding, so "first exception cancels the rest"
-    // holds here for free.
-    for (size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->poll()) {
-        skipped_.fetch_add(n - i, std::memory_order_release);
-        return;
-      }
-      fn(i, 0);
-    }
+    // No publication, no wakeups.
+    skipped_.store(runInline(n, fn, cancel), std::memory_order_release);
     return;
   }
   uint64_t epoch;
@@ -165,14 +174,7 @@ void SharedAnalysisPool::Client::run(
   lastSkipped_ = 0;
   if (n == 0) return;
   if (pool_->nWorkers_ == 0 || n == 1) {
-    // Inline serial fast path, identical to WorkPool's width-1 behavior.
-    for (size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->poll()) {
-        lastSkipped_ = n - i;
-        return;
-      }
-      fn(i, 0);
-    }
+    lastSkipped_ = runInline(n, fn, cancel);
     return;
   }
 

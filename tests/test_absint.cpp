@@ -602,9 +602,10 @@ TEST(AbsintAnalysis, InvariantsKillTier2WithoutWeakeningVerdicts) {
     ASSERT_EQ(before.size(), after.size());
     for (size_t i = 0; i < before.size(); ++i) {
       EXPECT_EQ(before[i].first, after[i].first);
-      if (before[i].second)
+      if (before[i].second) {
         EXPECT_TRUE(after[i].second)
             << before[i].first << " weakened from SAFE to UNSAFE";
+      }
     }
   }
 }

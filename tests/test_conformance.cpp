@@ -23,7 +23,9 @@
 #include "kernels/gfmc.h"
 #include "kernels/lbm.h"
 #include "kernels/mutants.h"
+#include "ir/printer.h"
 #include "racecheck/racecheck.h"
+#include "smt/diskcache.h"
 #include "support/pool.h"
 
 namespace formad::testing {
@@ -113,13 +115,14 @@ TEST(Conformance, IndirectGather) {
 // --- early-exit-aware speculation ---
 //
 // A width-4 pool that runs every task in index order on the calling thread
-// drives the eager (parallel) scheduler path with fully ordered timing: by
-// the time a task is claimed, every outcome before it is known. The eager
-// path must then skip exactly the tasks the lazy serial walk never
-// evaluates, so the fresh solver work matches the width-1 run check for
-// check — on the kernels where per-variable early exits matter (LBM's
-// srcgrid and GFMC*'s cr stay guarded) and on a racy mutant whose
-// knowledge contradiction ends replay early.
+// drives the speculative batches with fully ordered timing: by the time a
+// task is claimed, every outcome before it in plan order is known. On the
+// kernels where per-variable early exits matter (LBM's srcgrid and GFMC*'s
+// cr stay guarded) and on a racy mutant whose knowledge contradiction ends
+// replay early, the batches then skip exactly the tasks the width-1 serial
+// walk never evaluates, so the fresh solver work matches check for check.
+// (Plan order is not schedule order in general: see the shared-pair
+// kernel below.)
 
 class InOrderPool final : public support::TaskPool {
  public:
@@ -163,6 +166,72 @@ TEST(Conformance, EagerPathSkipsWhatSerialNeverEvaluatesOnGfmcFused) {
 
 TEST(Conformance, EagerPathSkipsWhatSerialNeverEvaluatesOnGatherRacy) {
   expectEagerWorkMatchesSerial(kernels::gatherRacySpec());
+}
+
+// --- one serial walk ---
+//
+// Two guarded variables share the index pair (i', i), so one task is asked
+// under `a` and again under `b`. Its step under `b` comes after tasks that
+// the plan orders later, so batches that learn in plan order cannot prove
+// it dead; the width-1 walk along the schedule can. Reports must not care:
+// byte-identical at every width, under FormAD and hybrid, with and without
+// a store.
+
+kernels::KernelSpec sharedPairSpec() {
+  kernels::KernelSpec spec;
+  spec.name = "shared_pair";
+  spec.source = R"(
+kernel shared_pair(n: int in, c: int[] in, d: int[] in, a: real[] in, b: real[] in, y: real[] inout) {
+  parallel for i = 0 : n - 1 {
+    y[i] += a[c[i]] + a[i + 1] + a[i] + b[d[i]] + b[i + 1] + b[i];
+  }
+}
+)";
+  spec.independents = {"a", "b"};
+  spec.dependents = {"y"};
+  return spec;
+}
+
+TEST(Conformance, SharedPairKernelIsWidthAndStoreInvariant) {
+  const kernels::KernelSpec spec = sharedPairSpec();
+  auto primal = parser::parseKernel(spec.source);
+  for (AdjointMode mode : {AdjointMode::FormAD, AdjointMode::Hybrid}) {
+    auto transcript = [&](int threads, smt::PersistentVerdictStore* store) {
+      driver::DriverOptions dopts;
+      dopts.mode = mode;
+      dopts.racecheckPrimal = true;
+      dopts.analysisThreads = threads;
+      dopts.verdictStore = store;
+      auto dr = driver::differentiate(*primal, spec.independents,
+                                      spec.dependents, dopts);
+      std::string t = core::describe(dr.analysis, /*includeTiming=*/false) +
+                      core::describeTiers(dr.analysis) +
+                      dr.raceReport.describe() + ir::printKernel(*dr.adjoint);
+      for (const auto& w : dr.warnings) t += w + "\n";
+      return t;
+    };
+    const std::string reference = transcript(1, nullptr);
+    smt::PersistentVerdictStore store("");  // cold at 1 thread, then warm
+    for (int threads : kThreadCounts) {
+      EXPECT_EQ(transcript(threads, nullptr), reference)
+          << driver::to_string(mode) << ", " << threads << " threads";
+      EXPECT_EQ(transcript(threads, &store), reference)
+          << driver::to_string(mode) << ", " << threads
+          << " threads over a store";
+    }
+  }
+}
+
+TEST(Conformance, SerialWalkEvaluatesOnlyWhatReplayReads) {
+  const kernels::KernelSpec spec = sharedPairSpec();
+  auto primal = parser::parseKernel(spec.source);
+  driver::DriverOptions dopts;
+  dopts.analysisThreads = 1;
+  const auto a = driver::analyze(*primal, spec.independents, spec.dependents,
+                                 dopts);
+  // Batches alone, learning in plan order, would make 8 checks and skip 10.
+  EXPECT_EQ(a.freshSolverChecks(), 5);
+  EXPECT_EQ(a.tasksSkipped(), 12);
 }
 
 // --- fast-path conformance: -fastpath must be invisible in the report ---

@@ -29,6 +29,7 @@
 #include "formad/formad.h"
 #include "helpers.h"
 #include "kernels/stencil.h"
+#include "racecheck/racecheck.h"
 #include "smt/budget.h"
 #include "smt/diskcache.h"
 #include "smt/solver.h"
@@ -433,15 +434,21 @@ TEST(Degradation, StarvedDifferentiateWarnsButBuildsTheAdjoint) {
 TEST(Degradation, TinyDeadlineReturnsPromptlyAndSoundly) {
   auto spec = kernels::stencilSpec(8);
   auto kernel = parser::parseKernel(spec.source);
-  driver::DriverOptions opts;
-  opts.analysisThreads = 4;
-  opts.analysisDeadlineMs = 1;
-  // Liveness contract only: the analysis returns (instead of hanging) and
-  // whatever it could not finish is conservatively unsafe with a reason.
-  auto a = driver::analyze(*kernel, spec.independents, spec.dependents, opts);
-  for (const auto& r : a.regions)
-    for (const auto& v : r.vars)
-      if (!v.safe) EXPECT_FALSE(v.unsafeReason.empty());
+  for (int threads : {1, 4}) {
+    driver::DriverOptions opts;
+    opts.analysisThreads = threads;
+    opts.analysisDeadlineMs = 1;
+    // Liveness contract only: the analysis returns (instead of hanging) and
+    // whatever it could not finish is conservatively unsafe with a reason.
+    auto a =
+        driver::analyze(*kernel, spec.independents, spec.dependents, opts);
+    for (const auto& r : a.regions)
+      for (const auto& v : r.vars) {
+        if (!v.safe) {
+          EXPECT_FALSE(v.unsafeReason.empty()) << threads << " threads";
+        }
+      }
+  }
 }
 
 // ---------------------------------------------------------- fault injection
@@ -477,6 +484,105 @@ TEST(FaultInjection, ForcedThrowPropagatesWithoutHangingThePool) {
     EXPECT_NE(std::string(e.what()).find("injected solver fault"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// ------------------------------------------- race checker governance
+//
+// driver::checkRaces runs the race checker on one pool path at every width
+// (width 1 is one inline worker), so a budget, a fault and a cancellation
+// degrade it alike at widths 1 and 4. Stencil r=2 has 16 converse pairs.
+
+class StencilRaces {
+ public:
+  [[nodiscard]] racecheck::RaceReport check(
+      int threads, driver::DriverOptions opts) const {
+    opts.analysisThreads = threads;
+    return driver::checkRaces(*kernel_, opts);
+  }
+
+ private:
+  // The report points into the kernel, which must outlive it.
+  std::unique_ptr<ir::Kernel> kernel_ =
+      parser::parseKernel(kernels::stencilSpec(2).source);
+};
+
+TEST(RaceCheckGovernance, StarvedBudgetLeavesEveryPairUndecided) {
+  const StencilRaces races;
+  driver::DriverOptions opts;
+  opts.fastpath = smt::FastPathMode::Off;
+  opts.solverStepBudget = 1;
+  std::vector<std::string> described;
+  for (int threads : {1, 4}) {
+    const auto report = races.check(threads, opts);
+    ASSERT_EQ(report.regions.size(), 1u);
+    const auto& r = report.regions[0];
+    EXPECT_EQ(report.overall(), racecheck::RaceVerdict::Unknown);
+    EXPECT_EQ(r.budgetExhaustedChecks, 16) << threads << " threads";
+    EXPECT_EQ(r.degradedPairs, 16) << threads << " threads";
+    EXPECT_EQ(r.undecided.size(), 16u) << threads << " threads";
+    for (const auto& u : r.undecided)
+      EXPECT_EQ(u.reason, "solver step budget exhausted");
+    described.push_back(report.describe());
+  }
+  EXPECT_EQ(described[0], described[1]);
+}
+
+TEST(RaceCheckGovernance, InjectedThrowFailsTheRegion) {
+  const StencilRaces races;
+  for (int threads : {1, 4}) {
+    smt::FaultInject fault;
+    fault.throwAtCheck = 1;
+    driver::DriverOptions opts;
+    opts.faultInject = &fault;
+    const auto report = races.check(threads, opts);
+    ASSERT_EQ(report.regions.size(), 1u);
+    const auto& r = report.regions[0];
+    EXPECT_EQ(r.verdict, racecheck::RaceVerdict::Unknown);
+    ASSERT_EQ(r.undecided.size(), 1u) << threads << " threads";
+    EXPECT_NE(r.undecided[0].reason.find("injected solver fault"),
+              std::string::npos)
+        << r.undecided[0].reason;
+  }
+}
+
+TEST(RaceCheckGovernance, PreCancelledTokenSkipsEveryPair) {
+  const StencilRaces races;
+  for (int threads : {1, 4}) {
+    CancelToken token;
+    token.cancel();
+    driver::DriverOptions opts;
+    opts.racecheck.cancel = &token;
+    const auto report = races.check(threads, opts);
+    ASSERT_EQ(report.regions.size(), 1u);
+    const auto& r = report.regions[0];
+    EXPECT_EQ(r.queries, 0) << threads << " threads";
+    EXPECT_EQ(r.degradedPairs, 16) << threads << " threads";
+    ASSERT_EQ(r.undecided.size(), 16u) << threads << " threads";
+    for (const auto& u : r.undecided)
+      EXPECT_EQ(u.reason, "cancelled before evaluation (deadline or failure)");
+  }
+}
+
+TEST(RaceCheckGovernance, FastPathModeReachesTheChecker) {
+  // Records of a non-default fast-path mode are keyed apart from Full's:
+  // after an Off run, a Full run must write records of its own, and a
+  // repeated Off run must find every record it needs.
+  const StencilRaces races;
+  for (int threads : {1, 4}) {
+    smt::PersistentVerdictStore store("");
+    driver::DriverOptions opts;
+    opts.verdictStore = &store;
+    opts.fastpath = smt::FastPathMode::Off;
+    (void)races.check(threads, opts);
+    const long long afterOff = store.stats().checkStores;
+    opts.fastpath = smt::FastPathMode::Full;
+    (void)races.check(threads, opts);
+    const long long afterFull = store.stats().checkStores;
+    EXPECT_GT(afterFull, afterOff) << threads << " threads";
+    opts.fastpath = smt::FastPathMode::Off;
+    (void)races.check(threads, opts);
+    EXPECT_EQ(store.stats().checkStores, afterFull) << threads << " threads";
   }
 }
 
