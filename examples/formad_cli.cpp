@@ -3,13 +3,13 @@
 //   formad_cli <file.fad> -head <kernel> -indep a,b -dep c [-mode MODE]
 //              [-analyze-only] [-emit-c]
 //
-// Reads a DSL source file, runs the FormAD analysis, and prints the
-// generated adjoint kernel (DSL by default, a compilable C translation
-// unit with -emit-c). MODE is one of: formad (default), atomic,
-// reduction, serial, plain, tangent.
-//
-// -engine bytecode|treewalk selects the execution engine (see
-// exec/interp.h); with the bytecode engine, -disasm prints the compiled
+// Reads a DSL source file, runs the FormAD analysis, prints its report to
+// stderr and the generated adjoint kernel to stdout (DSL by default, a
+// compilable C translation unit with -emit-c). MODE is one of: formad
+// (default), hybrid, atomic, reduction, serial, plain, tangent. FormAD and
+// hybrid report the one analysis their adjoint is built from; atomic,
+// reduction, serial, plain and -analyze-only run the analysis for the
+// report alone, and tangent prints none. -disasm prints the bytecode
 // register-VM listing of the generated kernel to stderr.
 //
 // -racecheck runs the static primal race checker (racecheck/) before
@@ -17,8 +17,7 @@
 // an inconclusive verdict is reported as a warning. With -racecheck-only
 // the verdict report is printed and nothing is differentiated; both honour
 // the analysis flags below and the FORMAD_FAULT_* variables alike.
-// -bind n=v,m=w pins never-written integer parameters to concrete values
-// for the checker; -coloring a,b declares conflict-free coloring arrays.
+// -coloring a,b declares conflict-free coloring arrays.
 //
 // -fastpath off|syntactic|full selects the tiered disjointness deciders
 // consulted before the full solver (default full). Every fast verdict is
@@ -50,15 +49,13 @@
 // kernel (or every kernel when -head is omitted), prints the findings, and
 // exits 1 iff anything was flagged. Solver-free; -pin values are honored.
 //
-// -pin name=value (repeatable) pins one never-written integer parameter,
-// merging into the same pin set as -bind; consumed by the race checker,
-// the abstract interpreter, and the linter.
+// -pin name=value (repeatable) pins one never-written integer parameter;
+// consumed by the race checker, the abstract interpreter, and the linter.
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -96,15 +93,11 @@ int usage() {
       << "usage: formad_cli <file> -head <kernel> -indep a,b -dep c\n"
          "                  [-mode formad|hybrid|atomic|reduction|serial|"
          "plain|tangent]\n"
-         "                  [-safeguard formad|hybrid|atomic|reduction]\n"
-         "                      (safeguard strategy — alias of the matching "
-         "-mode;\n"
-         "                       hybrid guards residual unproven increments "
+         "                      (hybrid guards residual unproven increments "
          "per access site)\n"
-         "                  [-engine bytecode|treewalk] [-disasm]\n"
-         "                  [-analyze-only]\n"
+         "                  [-disasm] [-analyze-only]\n"
          "                  [-racecheck] [-racecheck-only]\n"
-         "                  [-bind name=value,...] [-coloring array,...]\n"
+         "                  [-coloring array,...]\n"
          "                  [-analysis-threads N]   (0 = auto-detect)\n"
          "                  [-fastpath off|syntactic|full]   (default full)\n"
          "                  [-solver-budget N|unlimited]   (steps per check)\n"
@@ -137,22 +130,6 @@ long long parseIntFlag(const std::string& flag, const std::string& text,
   }
 }
 
-/// Parses "-bind n=20,c=0" pin lists.
-std::map<std::string, long long> parseBindings(const std::string& s) {
-  std::map<std::string, long long> pins;
-  for (const std::string& item : splitCommas(s)) {
-    size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      std::cerr << "bad -bind entry '" << item << "' (expected name=value)\n";
-      std::exit(2);
-    }
-    pins[item.substr(0, eq)] =
-        parseIntFlag("-bind", item.substr(eq + 1), INT64_MIN, INT64_MAX,
-                     "name=value with an integer value");
-  }
-  return pins;
-}
-
 /// Prints the store-level IO counters of the persistent verdict cache
 /// (-cache-stats; stable format, golden-testable by the CI smoke job).
 void printStoreStats(const smt::PersistentVerdictStore& store) {
@@ -179,7 +156,6 @@ int main(int argc, char** argv) {
   std::string head;
   std::vector<std::string> indeps, deps;
   std::string mode = "formad";
-  std::string engine = "bytecode";
   bool analyzeOnly = false;
   bool emitC = false;
   bool disasm = false;
@@ -204,25 +180,11 @@ int main(int argc, char** argv) {
     else if (arg == "-indep") indeps = splitCommas(next());
     else if (arg == "-dep") deps = splitCommas(next());
     else if (arg == "-mode") mode = next();
-    else if (arg == "-safeguard") {
-      // Safeguard-strategy spelling of the mode knob (restricted to the
-      // strategies that actually guard adjoints).
-      mode = next();
-      if (mode != "formad" && mode != "hybrid" && mode != "atomic" &&
-          mode != "reduction") {
-        std::cerr << "bad -safeguard value '" << mode
-                  << "' (expected formad, hybrid, atomic, or reduction)\n";
-        return 2;
-      }
-    }
-    else if (arg == "-engine") engine = next();
     else if (arg == "-disasm") disasm = true;
     else if (arg == "-analyze-only") analyzeOnly = true;
     else if (arg == "-emit-c") emitC = true;
     else if (arg == "-racecheck") dopts.racecheckPrimal = true;
     else if (arg == "-racecheck-only") racecheckOnly = true;
-    else if (arg == "-bind")
-      dopts.racecheck.paramValues = parseBindings(next());
     else if (arg == "-lint") lintOnly = true;
     else if (arg == "-pin") {
       std::string item = next();
@@ -281,12 +243,6 @@ int main(int argc, char** argv) {
       }
     }
     else return usage();
-  }
-  if (engine != "bytecode" && engine != "treewalk") return usage();
-  if (disasm && engine != "bytecode") {
-    std::cerr << "-disasm requires -engine bytecode (the tree-walker "
-                 "interprets the IR directly and has no listing)\n";
-    return 2;
   }
 
   std::ifstream in(file);
@@ -361,17 +317,28 @@ int main(int argc, char** argv) {
     else if (mode == "serial") dopts.mode = driver::AdjointMode::Serial;
     else if (mode == "plain") dopts.mode = driver::AdjointMode::Plain;
     else modeKnown = mode == "formad";
-    auto analysis = driver::analyze(primal, indeps, deps, dopts);
-    std::cerr << core::describe(analysis);
-    std::cerr << core::describeTiers(analysis);
-    if (cacheStats) {
-      std::cerr << core::describeCache(analysis);
-      if (store != nullptr) printStoreStats(*store);
+    auto printAnalysis = [&](const core::KernelAnalysis& analysis) {
+      std::cerr << core::describe(analysis);
+      std::cerr << core::describeTiers(analysis);
+      if (cacheStats) {
+        std::cerr << core::describeCache(analysis);
+        if (store != nullptr) printStoreStats(*store);
+      }
+    };
+    // FormAD and hybrid report the analysis their adjoint is built from;
+    // every other run analyzes for the report alone.
+    const bool differentiateAnalyzes =
+        modeKnown && !analyzeOnly &&
+        (dopts.mode == driver::AdjointMode::FormAD ||
+         dopts.mode == driver::AdjointMode::Hybrid);
+    if (!differentiateAnalyzes) {
+      printAnalysis(driver::analyze(primal, indeps, deps, dopts));
+      if (analyzeOnly) return 0;
+      if (!modeKnown) return usage();
     }
-    if (analyzeOnly) return 0;
-    if (!modeKnown) return usage();
 
     auto dr = driver::differentiate(primal, indeps, deps, dopts);
+    if (differentiateAnalyzes) printAnalysis(dr.analysis);
     if (dopts.racecheckPrimal) std::cerr << dr.raceReport.describe();
     for (const auto& w : dr.warnings) std::cerr << "warning: " << w << "\n";
     // Hybrid surfaces the builder's per-increment choice (stable format;

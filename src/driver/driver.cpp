@@ -109,10 +109,15 @@ DifferentiateResult differentiate(const Kernel& primal,
   // share them, so a driver invocation spins threads up at most once and
   // counts injected faults across both. A caller-owned pool (serving
   // daemon sessions) wins outright — threads spin up once per process, not
-  // per request.
+  // per request. A mode that runs no analysis starts no pool, but its
+  // width is still validated.
   std::unique_ptr<support::WorkPool> ownedPool;
   DriverOptions shared = dopts;
-  shared.analysisPool = resolvePool(dopts, ownedPool);
+  if (dopts.racecheckPrimal || dopts.mode == AdjointMode::FormAD ||
+      dopts.mode == AdjointMode::Hybrid)
+    shared.analysisPool = resolvePool(dopts, ownedPool);
+  else if (dopts.analysisPool == nullptr)
+    (void)resolveAnalysisThreads(dopts.analysisThreads);
   shared.faultInject = faultInjectionOf(dopts);
 
   if (dopts.racecheckPrimal) {

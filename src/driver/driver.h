@@ -35,15 +35,16 @@ struct DriverOptions {
   /// generation with the witness; an inconclusive verdict degrades to a
   /// warning in DifferentiateResult::warnings.
   bool racecheckPrimal = false;
-  /// Race-checker options: pins, coloring facts, witness cap, cancel
-  /// token. checkRaces() sets their pool, fast-path, budget, deadline,
-  /// fault and store fields from the analysis-wide knobs below.
+  /// Race-checker options: pins, coloring facts, cancel token.
+  /// checkRaces() sets their pool, fast-path, budget, deadline, fault and
+  /// store fields from the analysis-wide knobs below.
   racecheck::RaceCheckOptions racecheck;
   /// Worker threads for the analysis phase (FormAD exploitation queries and
   /// the race checker's converse queries, which share one pool). 0 = auto
   /// (hardware concurrency); negative values are rejected with a clear
-  /// error. Any count yields bit-identical analyses, warnings, and reports
-  /// — only wall time changes.
+  /// error. differentiate() starts the pool only when it analyzes (FormAD,
+  /// Hybrid, or racecheckPrimal). Any count yields bit-identical analyses,
+  /// warnings, and reports — only wall time changes.
   int analysisThreads = 0;
   /// Analysis-wide fast-path mode, applied to BOTH the FormAD exploitation
   /// solvers and the race checker's converse queries (it overrides
@@ -171,7 +172,7 @@ struct DifferentiateResult {
 
 /// Runs the static race checker alone — the only place DriverOptions become
 /// racecheck::RaceCheckOptions. Starts from `racecheck` (pins, colorings,
-/// witness cap, cancel token) and applies the analysis-wide knobs the same
+/// cancel token) and applies the analysis-wide knobs the same
 /// way analyze() does: analysisThreads / analysisPool, fastpath,
 /// solverStepBudget, analysisDeadlineMs, faultInject (else the
 /// FORMAD_FAULT_* variables) and verdictStore. Reports are byte-identical

@@ -99,6 +99,9 @@ std::string RaceReport::describe() const {
 
 namespace {
 
+/// A region stops collecting witnesses after this many.
+constexpr int kMaxWitnessesPerRegion = 4;
+
 /// One array reference with lowered per-dimension index expressions on both
 /// the plain (iteration i) and primed (iteration i') side.
 struct LoweredRef {
@@ -433,7 +436,7 @@ class RegionChecker {
         w.iterB = 1;
       }
       if (static_cast<int>(report_.witnesses.size()) <
-          opts_.maxWitnessesPerRegion)
+          kMaxWitnessesPerRegion)
         report_.witnesses.push_back(std::move(w));
       ++report_.pairsChecked;
     });
@@ -497,7 +500,7 @@ class RegionChecker {
   void recordWitness(const PairTask& t, const smt::Model& m,
                      const std::vector<long long>& indices) {
     if (static_cast<int>(report_.witnesses.size()) >=
-        opts_.maxWitnessesPerRegion)
+        kMaxWitnessesPerRegion)
       return;
     RaceWitness w;
     w.array = t.array;

@@ -96,7 +96,7 @@ struct UndecidedPair {
 struct RegionRaceReport {
   const ir::For* loop = nullptr;
   RaceVerdict verdict = RaceVerdict::RaceFree;
-  std::vector<RaceWitness> witnesses;
+  std::vector<RaceWitness> witnesses;  // at most 4
   std::vector<UndecidedPair> undecided;
   int pairsChecked = 0;
   int pairsProven = 0;   // discharged by an Unsat proof
@@ -138,8 +138,6 @@ struct RaceCheckOptions {
   /// the same coloring array on different iterations never return the same
   /// value. Pairs discharged by this promise count as pairsAssumed.
   std::set<std::string> colorings;
-  /// Stop collecting witnesses in a region after this many.
-  int maxWitnessesPerRegion = 4;
   /// Tiered fast-path deciders consulted before the full solver
   /// (smt/fastpath.h). Fast verdicts are exact: the setting changes speed
   /// and the tier breakdown only, never any verdict or witness.

@@ -90,16 +90,7 @@ RequestOptions parseOptions(const JsonValue& v) {
     badRequest("'options' must be an object");
   RequestOptions o;
   for (const auto& [key, val] : v.members()) {
-    if (key == "threads") {
-      o.threads = static_cast<int>(
-          requireInt(val, "options.threads", 0, 1 << 16));
-    } else if (key == "fastpath") {
-      const std::string m = requireString(val, "options.fastpath");
-      if (m == "off") o.fastpath = smt::FastPathMode::Off;
-      else if (m == "syntactic") o.fastpath = smt::FastPathMode::Syntactic;
-      else if (m == "full") o.fastpath = smt::FastPathMode::Full;
-      else badRequest("options.fastpath must be off, syntactic, or full");
-    } else if (key == "absint") {
+    if (key == "absint") {
       if (val.kind() != JsonValue::Kind::Bool)
         badRequest("options.absint must be a boolean");
       o.absint = val.asBool();
@@ -125,12 +116,6 @@ RequestOptions parseOptions(const JsonValue& v) {
     } else if (key == "colorings") {
       for (const auto& a : requireStringArray(val, "options.colorings"))
         o.colorings.insert(a);
-    } else if (key == "priority") {
-      const std::string p = requireString(val, "options.priority");
-      if (p == "high") o.priority = 0;
-      else if (p == "normal") o.priority = 1;
-      else if (p == "low") o.priority = 2;
-      else badRequest("options.priority must be high, normal, or low");
     } else if (key == "fault_unknown_at") {
       o.faultUnknownAt = requireInt(val, "options.fault_unknown_at", 0,
                                     std::numeric_limits<long long>::max());

@@ -16,10 +16,6 @@
 //    "independents": ["x", ...],           // analyze
 //    "dependents": ["y", ...],             // analyze
 //    "options": {                          // all optional
-//      "threads": N,            // 1 = serial; any other value runs on
-//                               // the shared pool at the pool's width
-//      "priority": "high"|"normal"|"low",  // shared-pool class
-//      "fastpath": "off"|"syntactic"|"full",
 //      "absint": true|false,
 //      "safeguard": "formad"|"hybrid",  // analyze: hybrid adds
 //                               // per-(var, access-site) verdict lines
@@ -29,8 +25,14 @@
 //      "pins": {"n": 20, ...},
 //      "colorings": ["edge2node", ...],
 //      "fault_unknown_at": N,   // test harness: injected solver faults
-//      "fault_throw_at": N      // (per-request; disables store serving)
+//      "fault_throw_at": N      // (per-request; disables store serving
+//                               // and runs the analysis serially)
 //    }}
+//
+// How a request is scheduled is the daemon's business, not the client's:
+// every analysis runs at the full fast path on the shared pool, except a
+// faulted one, which runs inline at width 1 (a fault ordinal names the
+// first check replay reads only when one worker runs the checks).
 //
 // Error responses carry {"ok": false, "error": {"code", "message"}} with
 // codes: "parse_error" (malformed JSON), "bad_request" (schema violation),
@@ -45,7 +47,6 @@
 #include <vector>
 
 #include "server/json.h"
-#include "smt/fastpath.h"
 
 namespace formad::core {
 struct KernelAnalysis;
@@ -87,15 +88,9 @@ enum class Op { Analyze, Racecheck, Lint, Stats, Shutdown };
 [[nodiscard]] std::string to_string(Op op);
 
 /// Per-request knobs, mapped onto DriverOptions by the server. 0 means
-/// "use the daemon default" for threads/budget/deadline; -1 forces
-/// unlimited budget / no deadline even when the daemon has a default.
+/// "use the daemon default" for budget/deadline; -1 forces unlimited
+/// budget / no deadline even when the daemon has a default.
 struct RequestOptions {
-  int threads = 0;
-  /// Shared-pool priority class of this request's analysis tasks: 0 high,
-  /// 1 normal (default), 2 low (support::SharedAnalysisPool's classes).
-  /// Scheduling only — verdicts and reports are priority-independent.
-  int priority = 1;
-  smt::FastPathMode fastpath = smt::FastPathMode::Full;
   bool absint = false;
   /// Analyze with the hybrid safeguard's per-(var, access-site) verdicts
   /// (ExploitOptions::siteVerdicts). Default (false) is the classic

@@ -70,11 +70,8 @@ driver::DriverOptions driverOptions(const RequestOptions& o,
                                     support::TaskPool* pool,
                                     smt::FaultInject& fault) {
   driver::DriverOptions d;
-  // "threads": 1 runs serially; any other value runs on the shared pool
-  // (null when the daemon itself is serial, which runs inline too).
+  // Never a private pool: width 1 wherever the shared pool is not used.
   d.analysisThreads = 1;
-  if (o.threads != 1) d.analysisPool = pool;
-  d.fastpath = o.fastpath;
   d.absint = o.absint;
   // "safeguard": "hybrid" analyzes with per-(var, access-site) verdicts;
   // the report gains site lines, default requests stay byte-identical.
@@ -86,9 +83,15 @@ driver::DriverOptions driverOptions(const RequestOptions& o,
   d.racecheck.paramValues = o.pins;
   d.racecheck.colorings = o.colorings;
   if (o.hasFault()) {
+    // A faulted request runs inline at width 1: a fault ordinal names the
+    // first check replay reads only when one worker runs the checks.
     fault.unknownAtCheck = o.faultUnknownAt;
     fault.throwAtCheck = o.faultThrowAt;
     d.faultInject = &fault;
+  } else {
+    // Every other request runs on the shared pool (null when the daemon
+    // itself is serial, which runs inline too).
+    d.analysisPool = pool;
   }
   // The scheduler and the race checker drop the store while fault
   // injection is active, keeping injected verdicts out of the shared store.
@@ -212,11 +215,6 @@ std::string AnalysisServer::handle(
 
 JsonValue AnalysisServer::dispatch(
     const Request& req, support::SharedAnalysisPool::Client* client) {
-  // Per-request fairness class: the client's priority governs which jobs
-  // the shared pool's workers steal from first, so a queue of low-priority
-  // bulk analyses never starves an interactive high-priority one.
-  // Scheduling only — reports are byte-identical at any priority.
-  if (client != nullptr) client->setPriority(req.options.priority);
   switch (req.op) {
     case Op::Analyze:
       nAnalyze_.fetch_add(1, std::memory_order_relaxed);
@@ -358,9 +356,6 @@ JsonValue AnalysisServer::handleStats(const Request& req) {
     pool.set("workers", JsonValue::integer(p.workers));
     pool.set("busy_workers", JsonValue::integer(p.busyWorkers));
     pool.set("queue_depth", JsonValue::integer(p.queuedJobs));
-    JsonValue perClass = JsonValue::array();
-    for (const int c : p.queuedByPriority) perClass.push(JsonValue::integer(c));
-    pool.set("queued_by_priority", std::move(perClass));
     pool.set("jobs_run", JsonValue::integer(p.jobsRun));
     pool.set("tasks_stolen", JsonValue::integer(p.tasksStolen));
     pool.set("tasks_owner_run", JsonValue::integer(p.tasksOwnerRun));

@@ -6,9 +6,11 @@
 // work-stealing analysis pool (support::SharedAnalysisPool), sized once
 // for the whole daemon from hardware concurrency (driver::resolveServePool)
 // — so analysis parallelism is a daemon-wide budget the sessions share
-// fairly (per-request priority classes, round-robin victim selection)
-// instead of `sessions x threads` oversubscribed private pools. All
-// sessions share exactly one smt::PersistentVerdictStore — disk-backed
+// fairly (round-robin victim selection across jobs) instead of
+// `sessions x threads` oversubscribed private pools. Clients set no
+// scheduling knobs: every request analyzes at the full fast path on the
+// shared pool, except a fault-injected one, which runs inline at width 1.
+// All sessions share exactly one smt::PersistentVerdictStore — disk-backed
 // when a cache directory is configured, memory-only otherwise — whose
 // in-memory sharded layer is the daemon's hot cache, and whose
 // single-flight registry collapses concurrent duplicate work: when several
@@ -19,10 +21,10 @@
 //
 // Determinism: verdict reports are pure functions of (source, options) —
 // byte-identical at any session count, any request arrival order, any
-// per-session pool width, with or without a warm store (the PR 3/6
-// conformance guarantees, extended to the serving layer). Only wall-clock
-// fields and cache counters vary; responses carry those separately from
-// the report text.
+// pool width, with or without a warm store (the conformance suite's
+// guarantees, extended to the serving layer). Only wall-clock fields and
+// cache counters vary; responses carry those separately from the report
+// text.
 //
 // Governance: per-request solver budgets, deadlines, and fault injection
 // ride through to the driver, so one pathological kernel degrades its own
@@ -54,10 +56,10 @@ struct ServeOptions {
   int sessions = 2;
   /// Worker threads of the daemon's ONE shared analysis pool (0 = auto:
   /// hardware concurrency minus the session threads, floor 0 — sessions
-  /// then analyze inline at width 1). Request option "threads" picks
-  /// serial (1) or the shared pool (anything else). An explicit width
-  /// whose total `sessions + analysisThreads` oversubscribes the hardware
-  /// is clamped back to auto with a warning unless allowOversubscribe.
+  /// then analyze inline at width 1). Every request without injected
+  /// faults analyzes on it. An explicit width whose total
+  /// `sessions + analysisThreads` oversubscribes the hardware is clamped
+  /// back to auto with a warning unless allowOversubscribe.
   int analysisThreads = 0;
   /// Honor an oversubscribing explicit analysisThreads instead of clamping
   /// it (benchmarks, tests, containers whose reported concurrency lies).

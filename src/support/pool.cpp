@@ -164,10 +164,6 @@ std::unique_ptr<SharedAnalysisPool::Client> SharedAnalysisPool::makeClient() {
 
 int SharedAnalysisPool::Client::width() const { return pool_->nWorkers_ + 1; }
 
-void SharedAnalysisPool::Client::setPriority(int priority) {
-  priority_ = std::min(kPriorityClasses - 1, std::max(0, priority));
-}
-
 void SharedAnalysisPool::Client::run(
     size_t n, const std::function<void(size_t, int)>& fn,
     CancelToken* cancel) {
@@ -183,7 +179,6 @@ void SharedAnalysisPool::Client::run(
   job.cancel = cancel;
   job.tailEx = n;
   job.unfinished = n;
-  job.priority = priority_;
   pool_->enqueueJob(&job);
 
   // Owner drain: claim ascending from the front. Thieves take the back, so
@@ -240,46 +235,25 @@ void SharedAnalysisPool::enqueueJob(Job* job) {
     std::lock_guard<std::mutex> lk(mu_);
     ++jobsRun_;
     job->inRunnable = true;
-    runnable_[static_cast<size_t>(job->priority)].push_back(job);
+    runnable_.push_back(job);
   }
   wake_.notify_all();
 }
 
 void SharedAnalysisPool::removeRunnable(Job* job) {
   if (!job->inRunnable) return;
-  auto& list = runnable_[static_cast<size_t>(job->priority)];
-  for (size_t i = 0; i < list.size(); ++i) {
-    if (list[i] == job) {
-      list.erase(list.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
+  runnable_.erase(std::find(runnable_.begin(), runnable_.end(), job));
   job->inRunnable = false;
-}
-
-SharedAnalysisPool::Job* SharedAnalysisPool::pickVictim() {
-  for (size_t p = 0; p < static_cast<size_t>(kPriorityClasses); ++p) {
-    auto& list = runnable_[p];
-    if (list.empty()) continue;
-    // Rotate across jobs of the class on every steal: with J runnable jobs
-    // each gets ~1/J of the workers regardless of size or arrival order.
-    return list[rotor_[p]++ % list.size()];
-  }
-  return nullptr;
 }
 
 void SharedAnalysisPool::workerLoop(int worker) {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    wake_.wait(lk, [&] {
-      if (stop_) return true;
-      for (const auto& list : runnable_)
-        if (!list.empty()) return true;
-      return false;
-    });
+    wake_.wait(lk, [&] { return stop_ || !runnable_.empty(); });
     if (stop_) return;
-    Job* job = pickVictim();
-    if (job == nullptr) continue;
+    // Rotate across jobs on every steal: with J runnable jobs each gets
+    // ~1/J of the workers regardless of size or arrival order.
+    Job* job = runnable_[rotor_++ % runnable_.size()];
     if (job->abort ||
         (job->cancel != nullptr && job->cancel->poll())) {
       const size_t left = job->tailEx - job->head;
@@ -322,10 +296,7 @@ SharedAnalysisPool::Stats SharedAnalysisPool::stats() const {
   Stats s;
   s.workers = nWorkers_;
   s.busyWorkers = busy_;
-  for (size_t p = 0; p < static_cast<size_t>(kPriorityClasses); ++p) {
-    s.queuedByPriority[p] = static_cast<int>(runnable_[p].size());
-    s.queuedJobs += s.queuedByPriority[p];
-  }
+  s.queuedJobs = static_cast<int>(runnable_.size());
   s.jobsRun = jobsRun_;
   s.tasksStolen = tasksStolen_;
   s.tasksOwnerRun = tasksOwnerRun_;

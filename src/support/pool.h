@@ -8,9 +8,9 @@
 //  - SharedAnalysisPool: one bounded pool for a whole serving daemon. Each
 //    session holds a Client handle; every Client::run() forms a two-ended
 //    task deque (the submitting thread claims from the front, idle pool
-//    workers steal from the back), and the pool picks victim jobs highest
-//    priority class first, round-robin within a class, so a large analyze
-//    cannot starve cheap requests from other sessions.
+//    workers steal from the back), and the pool picks victim jobs
+//    round-robin, so a large analyze cannot starve cheap requests from
+//    other sessions.
 //
 // Each task carries the index of the worker running it, so callers can keep
 // strictly thread-confined state (one smt::Solver per worker).
@@ -21,7 +21,6 @@
 // task results in a canonical order afterwards (see formad/scheduler.h).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -142,10 +141,9 @@ class WorkPool final : public TaskPool {
 /// request makes progress even with zero pool workers, and a job can never
 /// deadlock waiting for workers tied up elsewhere.
 ///
-/// Victim selection is two-level: the highest non-empty priority class
-/// wins, and within a class workers rotate round-robin across jobs on every
-/// steal, so concurrent sessions of equal priority share the pool fairly
-/// regardless of job size or arrival order.
+/// Victim selection rotates round-robin across the runnable jobs on every
+/// steal, so concurrent sessions share the pool fairly regardless of job
+/// size or arrival order.
 ///
 /// Worker indices are stable per OS thread for the duration of a job: the
 /// submitting thread is always index 0 and pool worker k is always index
@@ -154,12 +152,6 @@ class WorkPool final : public TaskPool {
 /// when a worker interleaves steals from several jobs.
 class SharedAnalysisPool {
  public:
-  /// Priority classes for victim selection. Lower value = served first.
-  static constexpr int kPriorityHigh = 0;
-  static constexpr int kPriorityNormal = 1;
-  static constexpr int kPriorityLow = 2;
-  static constexpr int kPriorityClasses = 3;
-
   /// Spawns `workers` stealing threads (0 is valid: clients then run
   /// serially inline with width() == 1).
   explicit SharedAnalysisPool(int workers);
@@ -176,16 +168,10 @@ class SharedAnalysisPool {
       return lastSkipped_;
     }
 
-    /// Priority class for subsequent run() calls (clamped to a valid
-    /// class). Per-request: the daemon sets this before each dispatch.
-    void setPriority(int priority);
-    [[nodiscard]] int priority() const { return priority_; }
-
    private:
     friend class SharedAnalysisPool;
     explicit Client(SharedAnalysisPool* pool) : pool_(pool) {}
     SharedAnalysisPool* pool_;
-    int priority_ = kPriorityNormal;
     size_t lastSkipped_ = 0;
   };
 
@@ -199,7 +185,6 @@ class SharedAnalysisPool {
     int workers = 0;
     int busyWorkers = 0;       // pool workers executing a stolen task now
     int queuedJobs = 0;        // jobs with unclaimed tasks right now
-    std::array<int, kPriorityClasses> queuedByPriority{};
     long long jobsRun = 0;        // Client::run() calls that formed a job
     long long tasksStolen = 0;    // tasks executed by pool workers
     long long tasksOwnerRun = 0;  // tasks executed by submitting threads
@@ -221,7 +206,6 @@ class SharedAnalysisPool {
     size_t skipped = 0;
     bool abort = false;
     bool inRunnable = false;
-    int priority = kPriorityNormal;
     std::exception_ptr error;
   };
 
@@ -231,7 +215,6 @@ class SharedAnalysisPool {
   // to reason about.
   void enqueueJob(Job* job);
   void removeRunnable(Job* job);  // requires mu_
-  Job* pickVictim();              // requires mu_; advances round-robin
   void workerLoop(int worker);
 
   const int nWorkers_;
@@ -241,8 +224,8 @@ class SharedAnalysisPool {
   std::condition_variable wake_;  // workers wait for runnable jobs
   std::condition_variable done_;  // owners wait for their job to finish
   bool stop_ = false;
-  std::array<std::vector<Job*>, kPriorityClasses> runnable_;
-  std::array<size_t, kPriorityClasses> rotor_{};  // round-robin cursors
+  std::vector<Job*> runnable_;
+  size_t rotor_ = 0;  // round-robin cursor over runnable_
   int busy_ = 0;
   long long jobsRun_ = 0;
   long long tasksStolen_ = 0;

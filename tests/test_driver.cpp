@@ -272,7 +272,7 @@ TEST(Driver, DifferentiateRejectsNegativeAnalysisThreads) {
 // an Error naming the flag, the offending text, and the expectation.
 TEST(FlagParsing, AcceptsWholeInRangeIntegers) {
   EXPECT_EQ(support::parseIntFlag("-threads", "4", 0, 64, "a count"), 4);
-  EXPECT_EQ(support::parseIntFlag("-bind", "-20", INT64_MIN, INT64_MAX,
+  EXPECT_EQ(support::parseIntFlag("-pin", "-20", INT64_MIN, INT64_MAX,
                                   "an integer"),
             -20);
   EXPECT_EQ(support::parseIntFlag("-budget", "0", 0, 1000, "steps"), 0);
@@ -314,16 +314,16 @@ TEST(FlagParsing, RejectsOutOfRangeAndOverflow) {
   // Exactly one past the representable range in either direction: strtoll
   // clamps and sets ERANGE, which must surface as a rejection rather than
   // the silently saturated value — while the extremes themselves parse.
-  EXPECT_THROW((void)support::parseIntFlag("-bind", "9223372036854775808",
+  EXPECT_THROW((void)support::parseIntFlag("-pin", "9223372036854775808",
                                            INT64_MIN, INT64_MAX, "an integer"),
                Error);
-  EXPECT_THROW((void)support::parseIntFlag("-bind", "-9223372036854775809",
+  EXPECT_THROW((void)support::parseIntFlag("-pin", "-9223372036854775809",
                                            INT64_MIN, INT64_MAX, "an integer"),
                Error);
-  EXPECT_EQ(support::parseIntFlag("-bind", "9223372036854775807", INT64_MIN,
+  EXPECT_EQ(support::parseIntFlag("-pin", "9223372036854775807", INT64_MIN,
                                   INT64_MAX, "an integer"),
             INT64_MAX);
-  EXPECT_EQ(support::parseIntFlag("-bind", "-9223372036854775808", INT64_MIN,
+  EXPECT_EQ(support::parseIntFlag("-pin", "-9223372036854775808", INT64_MIN,
                                   INT64_MAX, "an integer"),
             INT64_MIN);
 }

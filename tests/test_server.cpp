@@ -109,6 +109,22 @@ std::string racecheckFrame(const kernels::KernelSpec& spec) {
   return req.dump();
 }
 
+/// A 3-point stencil with overlapping reads. Unlike stencilSpec(2), whose
+/// checks the fast path decides or serves from cache, its pair checks
+/// reach tier 2 at the daemon's full fast path, so a small step budget
+/// bites.
+kernels::KernelSpec overlappingStencilSpec() {
+  kernels::KernelSpec spec;
+  spec.name = "stencil3pt";
+  spec.source =
+      "kernel stencil3pt(n: int in, u: real[] in, unew: real[] inout, "
+      "w: real[] in) { parallel for i = 1 : n - 2 { unew[i] = w[0] * "
+      "u[i - 1] + w[1] * u[i] + w[2] * u[i + 1]; } }";
+  spec.independents = {"u"};
+  spec.dependents = {"unew"};
+  return spec;
+}
+
 // ---------------------------------------------------------------------------
 // Protocol round-trips.
 
@@ -198,7 +214,7 @@ TEST(ServerProtocol, MalformedInputsGetStructuredErrors) {
       {R"({"op":"stats","shards":4})", "bad_request"},  // unknown field
       {R"({"op":"stats","options":{"turbo":true}})",
        "bad_request"},                              // unknown options field
-      {R"({"op":"stats","options":{"threads":"four"}})",
+      {R"({"op":"stats","options":{"deadline_ms":"four"}})",
        "bad_request"},                              // wrong option type
       {R"({"op":"stats","options":{"solver_budget":-2}})",
        "bad_request"},                              // out of range
@@ -396,11 +412,10 @@ TEST(ServerConcurrency, ReportsAreByteIdenticalAcrossSessionsAndOrder) {
 // own response; the shared store never serves its poison.
 
 TEST(ServerGovernance, StarvedRequestDegradesOnlyItself) {
-  const kernels::KernelSpec spec = kernels::stencilSpec(2);
-  // Solver work is real with the fast paths off; budget 1 starves it.
-  const std::string starved =
-      analyzeFrame(spec, R"({"fastpath":"off","solver_budget":1})");
-  const std::string unlimited = analyzeFrame(spec, R"({"fastpath":"off"})");
+  const kernels::KernelSpec spec = overlappingStencilSpec();
+  // Its pair checks reach tier 2; budget 1 starves them.
+  const std::string starved = analyzeFrame(spec, R"({"solver_budget":1})");
+  const std::string unlimited = analyzeFrame(spec);
 
   std::string reference;
   {
@@ -420,8 +435,8 @@ TEST(ServerGovernance, StarvedRequestDegradesOnlyItself) {
   EXPECT_TRUE(okOf(starvedResp));
   const JsonValue* gov = starvedResp.find("governance");
   ASSERT_NE(gov, nullptr);
-  EXPECT_GT(gov->find("budget_exhausted")->asInt(), 0);
-  EXPECT_GT(gov->find("degraded_pairs")->asInt(), 0);
+  EXPECT_EQ(gov->find("budget_exhausted")->asInt(), 1);
+  EXPECT_EQ(gov->find("degraded_pairs")->asInt(), 1);
 
   // Concurrent unlimited requests through the same store stay complete:
   // the starved run's exhausted verdicts must not satisfy them.
@@ -443,15 +458,13 @@ TEST(ServerGovernance, StarvedRequestDegradesOnlyItself) {
 
 TEST(ServerGovernance, InjectedFaultsStayPerRequest) {
   const kernels::KernelSpec spec = kernels::stencilSpec(2);
-  const std::string clean = analyzeFrame(spec, R"({"fastpath":"off"})");
-  // The sequential faulted requests run serially: only at width 1 is the
-  // faulting check the first one replay reads (see smt::FaultInject).
-  const std::string serialUnknownFault = analyzeFrame(
-      spec, R"({"fastpath":"off","fault_unknown_at":1,"threads":1})");
-  const std::string serialThrowFault = analyzeFrame(
-      spec, R"({"fastpath":"off","fault_throw_at":1,"threads":1})");
+  // Faults fire in Solver::check before any decider runs, so they need no
+  // solver work beyond the fast path. The daemon runs faulted requests
+  // serially, where the faulting check is the first one replay reads.
+  const std::string clean = analyzeFrame(spec);
   const std::string unknownFault =
-      analyzeFrame(spec, R"({"fastpath":"off","fault_unknown_at":1})");
+      analyzeFrame(spec, R"({"fault_unknown_at":1})");
+  const std::string throwFault = analyzeFrame(spec, R"({"fault_throw_at":1})");
 
   std::string reference;
   {
@@ -469,12 +482,12 @@ TEST(ServerGovernance, InjectedFaultsStayPerRequest) {
 
   // The injected-Unknown request answers ok but degraded (the forced
   // Unknown surfaces like a budget-exhausted check)...
-  JsonValue degraded = parse(daemon.process(serialUnknownFault));
+  JsonValue degraded = parse(daemon.process(unknownFault));
   EXPECT_TRUE(okOf(degraded));
   EXPECT_GT(
       degraded.find("governance")->find("budget_exhausted")->asInt(), 0);
   // ...and the injected-throw request fails alone, with a typed error.
-  JsonValue thrown = parse(daemon.process(serialThrowFault));
+  JsonValue thrown = parse(daemon.process(throwFault));
   EXPECT_FALSE(okOf(thrown));
   EXPECT_EQ(errorCodeOf(thrown), "kernel_error");
 
@@ -506,25 +519,26 @@ TEST(ServerGovernance, InjectedFaultsStayPerRequest) {
   }
 }
 
-// Stored records carry decision tiers, which depend on the fast-path mode:
-// a "fastpath":"off" request must not leak its tier attributions into a
-// later default request through the daemon's shared store.
-TEST(ServerGovernance, FastPathModeNeverLeaksAcrossRequests) {
-  const kernels::KernelSpec spec = kernels::stencilSpec(2);
-  const std::string plain = analyzeFrame(spec);
-  std::string reference;
-  {
-    ServeOptions opts;
-    opts.sessions = 1;
-    AnalysisServer fresh(opts);
-    reference = deterministicPart(fresh.process(plain));
-  }
+// A fault ordinal names the first check replay reads only when one worker
+// runs the checks; on the shared pool a speculative check can spend it
+// where replay never looks. The daemon therefore runs every faulted
+// request serially, so none of them loses its fault, however many pool
+// workers stand idle.
+TEST(ServerGovernance, FaultedRequestsNeverLoseTheirFault) {
   ServeOptions opts;
   opts.sessions = 1;
+  opts.analysisThreads = 3;
+  opts.allowOversubscribe = true;  // keep 3 workers on small machines
   AnalysisServer daemon(opts);
-  EXPECT_TRUE(okOf(parse(
-      daemon.process(analyzeFrame(spec, R"({"fastpath":"off"})")))));
-  EXPECT_EQ(deterministicPart(daemon.process(plain)), reference);
+  ASSERT_EQ(daemon.poolWorkers(), 3);
+  const std::string frame =
+      analyzeFrame(kernels::stencilSpec(2), R"({"fault_unknown_at":1})");
+  for (int i = 0; i < 200; ++i) {
+    JsonValue r = parse(daemon.process(frame));
+    ASSERT_TRUE(okOf(r)) << "request " << i;
+    EXPECT_GT(r.find("governance")->find("budget_exhausted")->asInt(), 0)
+        << "request " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -605,16 +619,17 @@ TEST(ServerStress, EightRacingSessionsDoOneColdRunOfFreshWork) {
 }
 
 TEST(ServerStress, FaultedWinnerNeverWedgesOrPoisonsRacingRequests) {
-  const kernels::KernelSpec spec = kernels::stencilSpec(3);
-  const std::string clean = analyzeFrame(spec, R"({"fastpath":"off"})");
+  // Large enough that a cold analysis outlasts the 1 ms deadline, even on
+  // a loaded machine where a session may start late.
+  const kernels::KernelSpec spec = kernels::stencilSpec(20);
+  const std::string clean = analyzeFrame(spec);
   const std::string throwFault =
-      analyzeFrame(spec, R"({"fastpath":"off","fault_throw_at":2})");
+      analyzeFrame(spec, R"({"fault_throw_at":2})");
   // Unlike a fault (which detaches the store), a 1ms deadline cancels a
   // request that holds REAL single-flight claims mid-evaluation: its
   // claims must unwind so concurrent duplicates get promoted and
   // recompute — never hang, never inherit partial work.
-  const std::string starved =
-      analyzeFrame(spec, R"({"fastpath":"off","deadline_ms":1})");
+  const std::string starved = analyzeFrame(spec, R"({"deadline_ms":1})");
 
   std::string reference;
   {
@@ -631,6 +646,7 @@ TEST(ServerStress, FaultedWinnerNeverWedgesOrPoisonsRacingRequests) {
   ServeOptions opts;
   opts.sessions = 8;
   AnalysisServer daemon(opts);
+  int deadlineDegraded = 0;
   for (int round = 0; round < 3; ++round) {
     std::vector<std::string> lines(8);
     std::vector<std::thread> clients;
@@ -648,13 +664,20 @@ TEST(ServerStress, FaultedWinnerNeverWedgesOrPoisonsRacingRequests) {
       } else if (c % 4 == 2) {
         // Deadline-cancelled mid-flight: answers ok (degraded), and its
         // abandoned claims were released, not left wedging the others.
-        EXPECT_TRUE(okOf(parse(lines[c]))) << "round " << round;
+        JsonValue r = parse(lines[c]);
+        EXPECT_TRUE(okOf(r)) << "round " << round;
+        if (r.find("governance") != nullptr &&
+            r.find("governance")->find("degraded_pairs")->asInt() > 0)
+          ++deadlineDegraded;
       } else {
         EXPECT_EQ(deterministicPart(lines[c]), reference)
             << "round " << round;
       }
     }
   }
+  // The deadline must actually fire, or the test proves nothing about
+  // cancelled claims.
+  EXPECT_GE(deadlineDegraded, 1);
 }
 
 TEST(ServerStats, ExposesPoolOccupancyAndFlightCounters) {
@@ -672,8 +695,7 @@ TEST(ServerStats, ExposesPoolOccupancyAndFlightCounters) {
   EXPECT_EQ(pool->find("workers")->asInt(), 2);
   EXPECT_EQ(pool->find("busy_workers")->asInt(), 0);  // idle at stats time
   EXPECT_EQ(pool->find("queue_depth")->asInt(), 0);
-  ASSERT_NE(pool->find("queued_by_priority"), nullptr);
-  EXPECT_EQ(pool->find("queued_by_priority")->elements().size(), 3u);
+  EXPECT_EQ(pool->find("queued_by_priority"), nullptr);
   EXPECT_GE(pool->find("jobs_run")->asInt(), 1);
   EXPECT_GE(pool->find("tasks_owner_run")->asInt() +
                 pool->find("tasks_stolen")->asInt(),
@@ -688,14 +710,14 @@ TEST(ServerStats, ExposesPoolOccupancyAndFlightCounters) {
   }
   EXPECT_EQ(store->find("flight_unclaims")->asInt(), 0);
 
-  // Priority is accepted per request (scheduling-only; the response is
-  // identical), and a bad class is a schema violation.
-  EXPECT_TRUE(okOf(parse(daemon.process(
-      analyzeFrame(kernels::stencilSpec(1), R"({"priority":"low"})")))));
-  EXPECT_EQ(errorCodeOf(parse(daemon.process(
-                analyzeFrame(kernels::stencilSpec(1),
-                             R"({"priority":"urgent"})")))),
-            "bad_request");
+  // Scheduling is the daemon's business: the speed-only options are
+  // unknown options fields.
+  for (const char* options :
+       {R"({"priority":"low"})", R"({"threads":1})", R"({"fastpath":"off"})"})
+    EXPECT_EQ(errorCodeOf(parse(daemon.process(
+                  analyzeFrame(kernels::stencilSpec(1), options)))),
+              "bad_request")
+        << options;
 }
 
 // ---------------------------------------------------------------------------
@@ -703,34 +725,41 @@ TEST(ServerStats, ExposesPoolOccupancyAndFlightCounters) {
 
 TEST(ServerProtocol, HybridSafeguardOptionAddsSiteVerdictLines) {
   AnalysisServer daemon(ServeOptions{});
-  const kernels::KernelSpec spec = kernels::stencilSpec(2);
+  const kernels::KernelSpec starvedSpec = overlappingStencilSpec();
 
   // Default analyses never render site lines (byte-locked report).
   const std::string plain = stringField(
-      parse(daemon.process(analyzeFrame(
-          spec, R"({"fastpath":"off","solver_budget":2})"))),
+      parse(daemon.process(
+          analyzeFrame(starvedSpec, R"({"solver_budget":2})"))),
       "report");
   EXPECT_EQ(plain.find("site "), std::string::npos);
 
   // "safeguard": "formad" is the explicit spelling of the default.
   const std::string formad = stringField(
       parse(daemon.process(analyzeFrame(
-          spec,
-          R"({"fastpath":"off","solver_budget":2,"safeguard":"formad"})"))),
+          starvedSpec, R"({"solver_budget":2,"safeguard":"formad"})"))),
       "report");
   EXPECT_EQ(formad, plain);
 
-  // Hybrid + a starved budget: unproven residue surfaces per access site.
+  // Hybrid + a starved budget: unproven residue surfaces per access site,
+  // and every site line names the exhausted budget as its cause.
   const std::string hybrid = stringField(
       parse(daemon.process(analyzeFrame(
-          spec,
-          R"({"fastpath":"off","solver_budget":2,"safeguard":"hybrid"})"))),
+          starvedSpec, R"({"solver_budget":2,"safeguard":"hybrid"})"))),
       "report");
   EXPECT_NE(hybrid.find("site "), std::string::npos);
   EXPECT_NE(hybrid.find("UNSAFE (guard residual)"), std::string::npos);
+  std::istringstream lines(hybrid);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("site ") != std::string::npos) {
+      EXPECT_NE(line.find("[step budget exhausted]"), std::string::npos)
+          << line;
+    }
+  }
 
   // Hybrid with an unlimited budget: everything proves, no residue, and
   // the site lines are elided wherever the variable verdict is SAFE.
+  const kernels::KernelSpec spec = kernels::stencilSpec(2);
   const std::string proven = stringField(
       parse(daemon.process(
           analyzeFrame(spec, R"({"safeguard":"hybrid"})"))),

@@ -2,11 +2,11 @@
 // the single-flight in-flight proof registry layered over
 // smt::PersistentVerdictStore: every task index runs exactly once at any
 // worker count, exceptions and cancellation keep WorkPool's semantics,
-// priority classes and fairness stats behave, duplicate claims join the
-// winner's published verdict, an unclaimed (failed) winner hands ownership
-// to a joiner instead of wedging it, budget-insufficient publishes do not
-// satisfy joiners, and concurrent identical analyses through the driver do
-// exactly one cold run's worth of fresh work while staying byte-identical.
+// fairness stats behave, duplicate claims join the winner's published
+// verdict, an unclaimed (failed) winner hands ownership to a joiner instead
+// of wedging it, budget-insufficient publishes do not satisfy joiners, and
+// concurrent identical analyses through the driver do exactly one cold
+// run's worth of fresh work while staying byte-identical.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -91,7 +91,11 @@ TEST(SharedPool, FiredCancelTokenSkipsRemainingTasks) {
   std::atomic<int> executed{0};
   client->run(
       100,
-      [&](size_t i, int) {
+      [&](size_t i, int worker) {
+        // Each thief holds its one stolen task until the owner (worker 0,
+        // draining 0, 1, 2, 3 from the front) fires the token at index 3,
+        // so at most 6 tasks run and at least 94 are skipped.
+        while (worker != 0 && !cancel.cancelled()) std::this_thread::yield();
         if (i == 3) cancel.cancel();
         executed.fetch_add(1);
       },
@@ -110,7 +114,6 @@ TEST(SharedPool, ConcurrentClientsAllCompleteAndShareWorkers) {
   for (int c = 0; c < kClients; ++c) {
     sessions.emplace_back([&pool, &done, c] {
       auto client = pool.makeClient();
-      client->setPriority(c % support::SharedAnalysisPool::kPriorityClasses);
       for (int round = 0; round < 3; ++round)
         client->run(kTasks, [&](size_t, int) { done[c].fetch_add(1); });
     });
@@ -125,15 +128,6 @@ TEST(SharedPool, ConcurrentClientsAllCompleteAndShareWorkers) {
   EXPECT_EQ(s.jobsRun, kClients * 3);
   EXPECT_EQ(s.tasksStolen + s.tasksOwnerRun,
             static_cast<long long>(kTasks) * kClients * 3);
-}
-
-TEST(SharedPool, PriorityIsClampedToValidClasses) {
-  support::SharedAnalysisPool pool(1);
-  auto client = pool.makeClient();
-  client->setPriority(-5);
-  EXPECT_EQ(client->priority(), support::SharedAnalysisPool::kPriorityHigh);
-  client->setPriority(99);
-  EXPECT_EQ(client->priority(), support::SharedAnalysisPool::kPriorityLow);
 }
 
 // ---------------------------------------------------------------------------
