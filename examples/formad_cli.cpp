@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
         std::cerr << "bad -pin entry '" << item << "' (expected name=value)\n";
         return 2;
       }
-      dopts.racecheck.paramValues[item.substr(0, eq)] =
+      dopts.pins[item.substr(0, eq)] =
           parseIntFlag("-pin", item.substr(eq + 1), INT64_MIN, INT64_MAX,
                        "name=value with an integer value");
     }
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
     }
     else if (arg == "-coloring") {
       for (const std::string& a : splitCommas(next()))
-        dopts.racecheck.colorings.insert(a);
+        dopts.colorings.insert(a);
     }
     else if (arg == "-analysis-threads") {
       dopts.analysisThreads = static_cast<int>(
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
       // Standalone static lint: no solver, no differentiation. Exit 1 iff
       // any linted kernel has findings (the CI smoke job keys off this).
       absint::LintOptions lopts;
-      lopts.paramValues = dopts.racecheck.paramValues;
+      lopts.paramValues = dopts.pins;
       bool anyFindings = false;
       for (const auto& kp : program.kernels()) {
         if (!head.empty() && kp->name != head) continue;

@@ -242,14 +242,16 @@ core::KernelAnalysis analyze(const Kernel& primal,
   aopts.exploit.faultInject = faultInjectionOf(opts);
   aopts.exploit.store = opts.verdictStore;
   aopts.model.absint = opts.absint;
-  aopts.model.paramValues = opts.racecheck.paramValues;
+  aopts.model.paramValues = opts.pins;
   return core::analyzeKernel(primal, independents, dependents, aopts);
 }
 
 racecheck::RaceReport checkRaces(const Kernel& primal,
                                  const DriverOptions& opts) {
   std::unique_ptr<support::WorkPool> ownedPool;
-  racecheck::RaceCheckOptions ropts = opts.racecheck;
+  racecheck::RaceCheckOptions ropts;
+  ropts.paramValues = opts.pins;
+  ropts.colorings = opts.colorings;
   ropts.pool = resolvePool(opts, ownedPool);
   ropts.fastpath = opts.fastpath;
   ropts.solverSteps = opts.solverStepBudget;

@@ -3,7 +3,9 @@
 // Plain (no safeguards at all, for testing) and Tangent (forward mode).
 #pragma once
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,10 +37,13 @@ struct DriverOptions {
   /// generation with the witness; an inconclusive verdict degrades to a
   /// warning in DifferentiateResult::warnings.
   bool racecheckPrimal = false;
-  /// Race-checker options: pins, coloring facts, cancel token.
-  /// checkRaces() sets their pool, fast-path, budget, deadline, fault and
-  /// store fields from the analysis-wide knobs below.
-  racecheck::RaceCheckOptions racecheck;
+  /// Concrete values for never-written integer parameters, forwarded to
+  /// the race checker and the abstract interpreter
+  /// (racecheck::RaceCheckOptions::paramValues).
+  std::map<std::string, long long> pins;
+  /// Integer arrays promised to be conflict-free colorings, forwarded to
+  /// the race checker (racecheck::RaceCheckOptions::colorings).
+  std::set<std::string> colorings;
   /// Worker threads for the analysis phase (FormAD exploitation queries and
   /// the race checker's converse queries, which share one pool). 0 = auto
   /// (hardware concurrency); negative values are rejected with a clear
@@ -47,8 +52,7 @@ struct DriverOptions {
   /// warnings, and reports — only wall time changes.
   int analysisThreads = 0;
   /// Analysis-wide fast-path mode, applied to BOTH the FormAD exploitation
-  /// solvers and the race checker's converse queries (it overrides
-  /// racecheck.fastpath so one knob governs the whole analysis phase).
+  /// solvers and the race checker's converse queries.
   /// Fast verdicts are exact: any mode yields bit-identical analyses,
   /// verdicts, and reports — only wall time and the tier breakdown change.
   smt::FastPathMode fastpath = smt::FastPathMode::Full;
@@ -58,9 +62,7 @@ struct DriverOptions {
   /// verdicts can only improve (stride invariants may prove SAFE a pair
   /// the seed model leaves UNSAFE), never weaken; the tier breakdown and
   /// solver work shift toward cheaper tiers. Off (default) is
-  /// byte-identical to the seed analyzer.
-  /// Parameter pins from racecheck.paramValues are forwarded to the
-  /// interpreter.
+  /// byte-identical to the seed analyzer. `pins` reach the interpreter.
   bool absint = false;
   /// Per-check deterministic solver step budget for the whole analysis
   /// phase (FormAD exploitation + race checker); <= 0 = unlimited. Checks
@@ -71,8 +73,7 @@ struct DriverOptions {
   /// Per-region analysis wall-clock deadline in milliseconds (<= 0 =
   /// none). Liveness only: which pairs a deadline stops is
   /// timing-dependent, so prefer solverStepBudget where reproducible
-  /// reports matter (it overrides racecheck.deadlineMs / exploit deadline
-  /// so one knob governs the whole analysis phase).
+  /// reports matter (one knob governs the whole analysis phase).
   int analysisDeadlineMs = 0;
   /// Fault-injection harness for the degradation paths (tests / CI smoke
   /// job). When null, the environment variables FORMAD_FAULT_UNKNOWN_AT
@@ -161,9 +162,8 @@ struct DifferentiateResult {
 /// place DriverOptions become core::AnalyzeOptions. Honors
 /// analysisThreads (default 0 = auto width; reports are byte-identical at
 /// any width), analysisPool, fastpath, absint, solverStepBudget,
-/// analysisDeadlineMs, faultInject and verdictStore. Of the race-check
-/// fields only racecheck.paramValues is read (pins for the abstract
-/// interpreter). `mode == Hybrid` additionally exports per-(var,
+/// analysisDeadlineMs, faultInject, verdictStore and pins (for the
+/// abstract interpreter). `mode == Hybrid` additionally exports per-(var,
 /// access-site) verdicts (ExploitOptions::siteVerdicts); every other mode
 /// analyzes classically.
 [[nodiscard]] core::KernelAnalysis analyze(
@@ -171,12 +171,11 @@ struct DifferentiateResult {
     const std::vector<std::string>& dependents, const DriverOptions& opts = {});
 
 /// Runs the static race checker alone — the only place DriverOptions become
-/// racecheck::RaceCheckOptions. Starts from `racecheck` (pins, colorings,
-/// cancel token) and applies the analysis-wide knobs the same
-/// way analyze() does: analysisThreads / analysisPool, fastpath,
-/// solverStepBudget, analysisDeadlineMs, faultInject (else the
-/// FORMAD_FAULT_* variables) and verdictStore. Reports are byte-identical
-/// at any pool width.
+/// racecheck::RaceCheckOptions. Forwards pins and colorings, and applies
+/// the analysis-wide knobs the same way analyze() does: analysisThreads /
+/// analysisPool, fastpath, solverStepBudget, analysisDeadlineMs,
+/// faultInject (else the FORMAD_FAULT_* variables) and verdictStore.
+/// Reports are byte-identical at any pool width.
 [[nodiscard]] racecheck::RaceReport checkRaces(const ir::Kernel& primal,
                                                const DriverOptions& opts = {});
 

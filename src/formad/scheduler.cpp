@@ -294,19 +294,19 @@ QueryResult QueryScheduler::evaluate(smt::Solver& solver, int& cur,
 
   QueryResult r;
   r.evaluated = true;
+  auto& rec = r.record;
   // Step provenance per check: steps a complete verdict consumed, or the
   // limit an exhausted one ran out at (what sufficientFor needs to govern
   // a later run splicing the persisted record).
   auto recordCheck = [&] {
-    r.tiers.push_back(solver.lastCheckTier());
+    rec.tiers.push_back(solver.lastCheckTier());
     const bool exhausted = solver.lastCheckBudgetExhausted();
-    r.exhausted.push_back(exhausted ? 1 : 0);
-    r.stepsUsed.push_back(exhausted ? solver.stepBudget()
-                                    : solver.lastCheckSteps());
+    rec.exhausted.push_back(exhausted ? 1 : 0);
+    rec.steps.push_back(exhausted ? solver.stepBudget()
+                                  : solver.lastCheckSteps());
   };
   if (task.kind == QueryTask::Kind::Consistency) {
-    r.unsat = solver.check() == CheckResult::Unsat;
-    r.checksPerformed = 1;
+    rec.unsat = solver.check() == CheckResult::Unsat;
     recordCheck();
   } else {
     // The serial walk checks the flattened offsets first, then — under the
@@ -317,9 +317,8 @@ QueryResult QueryScheduler::evaluate(smt::Solver& solver, int& cur,
       bool unsat = solver.check() == CheckResult::Unsat;
       recordCheck();
       solver.pop();
-      ++r.checksPerformed;
       if (unsat) {
-        r.pairSafe = true;
+        rec.pairSafe = true;
         break;
       }
     }
@@ -390,27 +389,23 @@ RegionVerdict QueryScheduler::replay(const std::vector<QueryResult>& results,
   std::set<std::pair<int, std::string>> seenStacks;
   auto accountChecks = [&](const QueryTask& task, const QueryResult& res) {
     const int base = baseContentId(task.baseId);
-    for (int i = 0; i < res.checksPerformed; ++i) {
+    const auto& rec = res.record;
+    for (size_t i = 0; i < rec.tiers.size(); ++i) {
       std::string probe = task.kind == QueryTask::Kind::Pair
-                              ? task.probeKeys[static_cast<size_t>(i)]
+                              ? task.probeKeys[i]
                               : std::string();
       ++verdict.queries;
       if (!seenStacks.emplace(base, std::move(probe)).second) {
         ++verdict.solverCacheHits;
         continue;
       }
-      const int tier = static_cast<size_t>(i) < res.tiers.size()
-                           ? res.tiers[static_cast<size_t>(i)]
-                           : 2;
-      if (tier == 0)
+      if (rec.tiers[i] == 0)
         ++verdict.tier0Hits;
-      else if (tier == 1)
+      else if (rec.tiers[i] == 1)
         ++verdict.tier1Hits;
       else
         ++verdict.tier2Checks;
-      if (static_cast<size_t>(i) < res.exhausted.size() &&
-          res.exhausted[static_cast<size_t>(i)] != 0)
-        ++verdict.budgetExhaustedChecks;
+      if (rec.exhausted[i] != 0) ++verdict.budgetExhaustedChecks;
     }
   };
 
@@ -429,7 +424,7 @@ RegionVerdict QueryScheduler::replay(const std::vector<QueryResult>& results,
       // the safeguard still holds wherever evaluation did run.
       if (!res.evaluated) continue;
       accountChecks(tasks_[static_cast<size_t>(step.taskIndex)], res);
-      if (res.unsat) {
+      if (res.record.unsat) {
         // Satisfiability safeguard (paper Sec. 5.5): the knowledge itself
         // is contradictory, so every disjointness "proof" below it would be
         // vacuous. Record the contradiction, distrust the whole region, and
@@ -472,9 +467,9 @@ RegionVerdict QueryScheduler::replay(const std::vector<QueryResult>& results,
         outcome.reason = "cancelled";
         ++verdict.degradedPairs;
       } else {
-        outcome.safe = res.pairSafe;
-        if (!res.pairSafe) {
-          for (char e : res.exhausted)
+        outcome.safe = res.record.pairSafe;
+        if (!outcome.safe) {
+          for (char e : res.record.exhausted)
             if (e != 0) {
               outcome.reason = "step budget exhausted";
               ++verdict.degradedPairs;
@@ -534,14 +529,8 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   // budget), keeping the report byte-identical to a cold run at any width.
   auto adoptRecord = [&](size_t i,
                          smt::PersistentVerdictStore::TaskRecord&& rec) {
-    QueryResult& r = results[i];
-    r.evaluated = true;
-    r.unsat = rec.unsat;
-    r.pairSafe = rec.pairSafe;
-    r.checksPerformed = static_cast<int>(rec.tiers.size());
-    r.tiers = std::move(rec.tiers);
-    r.exhausted = std::move(rec.exhausted);
-    r.stepsUsed = std::move(rec.steps);
+    results[i].evaluated = true;
+    results[i].record = std::move(rec);
   };
   auto spliceTask = [&](size_t i) {
     if (store == nullptr) return;
@@ -569,21 +558,16 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
       results[i] = evaluate(solver, atBase, tasks_[i]);
       return;
     }
-    auto flight = store->claimTask(tasks_[i].fingerprint, opts_.solverSteps,
-                                   tasks_[i].digest, cancel);
+    auto flight =
+        store->claimTask(tasks_[i].fingerprint, opts_.solverSteps, cancel);
     if (flight.served) {
       adoptRecord(i, std::move(*flight.served));
       joinedCount.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     results[i] = evaluate(solver, atBase, tasks_[i]);
-    smt::PersistentVerdictStore::TaskRecord rec;
-    rec.unsat = results[i].unsat;
-    rec.pairSafe = results[i].pairSafe;
-    rec.tiers = results[i].tiers;
-    rec.exhausted = results[i].exhausted;
-    rec.steps = results[i].stepsUsed;
-    store->storeTask(tasks_[i].fingerprint, rec, tasks_[i].digest);
+    store->storeTask(tasks_[i].fingerprint, results[i].record,
+                     tasks_[i].digest);
     persistedCount.fetch_add(1, std::memory_order_relaxed);
   };
 
@@ -612,8 +596,8 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     const QueryResult& r = results[i];
     if (!r.evaluated) return;
     if (tasks_[i].kind == QueryTask::Kind::Consistency) {
-      if (r.unsat) lower(stopAt, taskSteps_[i].front());
-    } else if (!r.pairSafe && !opts_.siteVerdicts) {
+      if (r.record.unsat) lower(stopAt, taskSteps_[i].front());
+    } else if (!r.record.pairSafe && !opts_.siteVerdicts) {
       for (size_t pos : taskSteps_[i])
         lower(unsafeFrom[schedule_[pos].varIndex], pos);
     }

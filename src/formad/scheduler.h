@@ -55,6 +55,7 @@
 
 #include "formad/exploit.h"
 #include "formad/knowledge.h"
+#include "smt/diskcache.h"
 
 namespace formad::support {
 class CancelToken;
@@ -100,24 +101,16 @@ struct QueryTask {
 /// Outcome of evaluating one QueryTask.
 struct QueryResult {
   bool evaluated = false;
-  bool unsat = false;     // Consistency: base conjunction proven Unsat
-  bool pairSafe = false;  // Pair: some probe proved disjointness
-  /// Number of solver checks performed (1 for Consistency; for Pair, one
-  /// per probe tried before the first Unsat). Replay uses this to account
-  /// queries exactly as the serial walk would.
-  int checksPerformed = 0;
-  /// Decision tier of each performed check (0/1 fast path, 2 full solve) —
-  /// a pure function of the conjunction, hence identical at any width.
-  std::vector<int> tiers;
-  /// Parallel to tiers: whether each check returned a budget-exhausted
-  /// Unknown. Under a fixed step budget this too is a pure function of the
-  /// conjunction (steps are counted, never timed).
-  std::vector<char> exhausted;
-  /// Parallel to tiers: deterministic step provenance of each check (steps
-  /// a complete verdict consumed, or the limit an exhausted one ran out
-  /// at). Persisted with the task so VerdictRecord::sufficientFor can
-  /// govern whether a later run may splice the record.
-  std::vector<long long> stepsUsed;
+  /// The verdict plus, per solver check performed (1 for Consistency; for
+  /// Pair, one per probe tried before the first Unsat), its decision tier
+  /// (0/1 fast path, 2 full solve), whether it returned a budget-exhausted
+  /// Unknown, and its deterministic step provenance. Under a fixed step
+  /// budget each is a pure function of the conjunction, hence identical at
+  /// any width: replay accounts queries from it exactly as the serial walk
+  /// would, and it is the record the store persists, so
+  /// VerdictRecord::sufficientFor can govern whether a later run may
+  /// splice it.
+  smt::PersistentVerdictStore::TaskRecord record;
   double seconds = 0.0;  // wall time of this task (scaling diagnostics)
 };
 

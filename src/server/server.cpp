@@ -7,8 +7,10 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <istream>
 #include <ostream>
+#include <string_view>
 
 #include "absint/lint.h"
 #include "driver/driver.h"
@@ -80,8 +82,8 @@ driver::DriverOptions driverOptions(const RequestOptions& o,
                                        serve.defaultSolverBudget);
   d.analysisDeadlineMs = effectiveDeadline(o.deadlineMs,
                                            serve.defaultDeadlineMs);
-  d.racecheck.paramValues = o.pins;
-  d.racecheck.colorings = o.colorings;
+  d.pins = o.pins;
+  d.colorings = o.colorings;
   if (o.hasFault()) {
     // A faulted request runs inline at width 1: a fault ordinal names the
     // first check replay reads only when one worker runs the checks.
@@ -371,56 +373,45 @@ JsonValue AnalysisServer::handleStats(const Request& req) {
 
 namespace {
 
-/// Enqueues a batch of frames and appends the response futures in order.
-void submitFrames(AnalysisServer& server,
-                  std::vector<LineFramer::Frame>& frames,
-                  std::deque<std::future<std::string>>& pending) {
-  for (auto& fr : frames) {
-    if (fr.oversized) {
-      std::promise<std::string> p;
-      p.set_value(server.oversizedResponse());
-      pending.push_back(p.get_future());
-    } else {
-      pending.push_back(server.submit(std::move(fr.text)));
-    }
-  }
-  frames.clear();
-}
-
-}  // namespace
-
-void serveStdio(AnalysisServer& server, std::istream& in, std::ostream& out) {
-  // Line-oriented reading keeps stdio mode interactive (a response is
-  // written as soon as it is ready, while later requests are still being
-  // read); the chunk-tolerant framer still enforces the frame limit.
+/// The pipelined loop both transports share: frames the chunks `read`
+/// returns until it returns an empty one, submits each complete frame,
+/// and hands `write` each response, newline-terminated and in request
+/// order, as soon as it is ready — reading continues while sessions work.
+/// At the end of input it submits the framer's last partial frame and
+/// writes every pending response.
+void servePipelined(AnalysisServer& server,
+                    const std::function<std::string_view()>& read,
+                    const std::function<void(const std::string&)>& write) {
   LineFramer framer(server.options().maxRequestBytes);
   std::vector<LineFramer::Frame> frames;
   std::deque<std::future<std::string>> pending;
-  auto flush = [&](bool block) {
+  auto submitAndWrite = [&](bool block) {
+    for (auto& fr : frames) {
+      if (fr.oversized) {
+        std::promise<std::string> p;
+        p.set_value(server.oversizedResponse());
+        pending.push_back(p.get_future());
+      } else {
+        pending.push_back(server.submit(std::move(fr.text)));
+      }
+    }
+    frames.clear();
     while (!pending.empty()) {
       std::future<std::string>& f = pending.front();
       if (!block && f.wait_for(std::chrono::seconds(0)) !=
                         std::future_status::ready)
         break;
-      out << f.get() << '\n';
+      write(f.get() + '\n');
       pending.pop_front();
     }
-    out.flush();
   };
-
-  std::string line;
-  while (!server.shutdownRequested() && std::getline(in, line)) {
-    line += '\n';
-    framer.feed(line.data(), line.size(), frames);
-    submitFrames(server, frames, pending);
-    flush(false);
+  for (std::string_view chunk = read(); !chunk.empty(); chunk = read()) {
+    framer.feed(chunk.data(), chunk.size(), frames);
+    submitAndWrite(false);
   }
   framer.finish(frames);
-  submitFrames(server, frames, pending);
-  flush(true);
+  submitAndWrite(true);
 }
-
-namespace {
 
 void writeAll(int fd, const std::string& data) {
   size_t off = 0;
@@ -432,35 +423,37 @@ void writeAll(int fd, const std::string& data) {
   }
 }
 
+/// Serves one socket connection until its peer closes it.
 void serveConnection(AnalysisServer& server, int fd) {
-  LineFramer framer(server.options().maxRequestBytes);
-  std::vector<LineFramer::Frame> frames;
-  std::deque<std::future<std::string>> pending;
-  auto flush = [&](bool block) {
-    while (!pending.empty()) {
-      std::future<std::string>& f = pending.front();
-      if (!block && f.wait_for(std::chrono::seconds(0)) !=
-                        std::future_status::ready)
-        break;
-      writeAll(fd, f.get() + "\n");
-      pending.pop_front();
-    }
-  };
   char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) break;
-    framer.feed(buf, static_cast<size_t>(n), frames);
-    submitFrames(server, frames, pending);
-    flush(false);
-  }
-  framer.finish(frames);
-  submitFrames(server, frames, pending);
-  flush(true);
+  servePipelined(
+      server,
+      [&]() -> std::string_view {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        return n <= 0 ? std::string_view()
+                      : std::string_view(buf, static_cast<size_t>(n));
+      },
+      [&](const std::string& response) { writeAll(fd, response); });
   ::close(fd);
 }
 
 }  // namespace
+
+void serveStdio(AnalysisServer& server, std::istream& in, std::ostream& out) {
+  // Line-oriented reading keeps stdio mode interactive (a response is
+  // written as soon as it is ready, while later requests are still being
+  // read); the chunk-tolerant framer still enforces the frame limit.
+  // Reading stops once a shutdown has been answered.
+  std::string line;
+  servePipelined(
+      server,
+      [&]() -> std::string_view {
+        if (server.shutdownRequested() || !std::getline(in, line)) return {};
+        line += '\n';
+        return line;
+      },
+      [&](const std::string& response) { out << response << std::flush; });
+}
 
 void serveUnixSocket(AnalysisServer& server, const std::string& path) {
   sockaddr_un addr{};

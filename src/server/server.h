@@ -11,13 +11,13 @@
 // scheduling knobs: every request analyzes at the full fast path on the
 // shared pool, except a fault-injected one, which runs inline at width 1.
 // All sessions share exactly one smt::PersistentVerdictStore — disk-backed
-// when a cache directory is configured, memory-only otherwise — whose
-// in-memory sharded layer is the daemon's hot cache, and whose
-// single-flight registry collapses concurrent duplicate work: when several
-// sessions analyze the same content at once, each solver check and each
-// scheduler task is claimed by content fingerprint before evaluation, so
-// exactly one session computes it and the rest block briefly and join the
-// winner's published verdict.
+// when a cache directory is configured, memory-only otherwise. Its one
+// sharded table per record kind is the daemon's hot cache and also holds
+// the single-flight claims that collapse concurrent duplicate work: when
+// several sessions analyze the same content at once, each solver check
+// and each scheduler task is claimed by content fingerprint before
+// evaluation, so exactly one session computes it and the rest block
+// briefly and join the winner's published verdict.
 //
 // Determinism: verdict reports are pure functions of (source, options) —
 // byte-identical at any session count, any request arrival order, any

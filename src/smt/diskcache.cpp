@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "smt/fingerprint.h"
 #include "support/cancel.h"
@@ -71,6 +72,15 @@ VerdictRecord provenance(const PersistentVerdictStore::TaskRecord& rec) {
 }
 
 const VerdictRecord& provenance(const VerdictRecord& e) { return e; }
+
+/// Keeps the stronger of `rec` and the record `held` holds; true when
+/// `rec` was kept (new or stronger).
+template <class Rec>
+bool keepStronger(std::optional<Rec>& held, const Rec& rec) {
+  if (held && !provenance(rec).upgrades(provenance(*held))) return false;
+  held = rec;
+  return true;
+}
 
 std::string render(const VerdictRecord& e) {
   std::string payload = "verdict ";
@@ -217,32 +227,19 @@ std::optional<std::vector<std::string>> PersistentVerdictStore::readRecord(
 }
 
 template <class Rec>
-bool PersistentVerdictStore::keepStronger(Layer<Rec>& layer,
-                                          const std::string& key,
-                                          const Rec& rec) {
-  auto& shard = layer.shardFor(key);
-  std::lock_guard<std::mutex> lk(shard.mu);
-  auto [it, inserted] = shard.map.try_emplace(key, rec);
-  if (inserted) return true;
-  if (!provenance(rec).upgrades(provenance(it->second))) return false;
-  it->second = rec;
-  return true;
-}
-
-template <class Rec>
 std::optional<Rec> PersistentVerdictStore::load(Layer<Rec>& layer,
                                                 const std::string& key,
                                                 long long stepLimit,
-                                                const std::string* digest,
-                                                bool countMiss) {
+                                                const std::string* digest) {
+  auto& shard = layer.shardFor(key);
   {
-    auto& shard = layer.shardFor(key);
     std::lock_guard<std::mutex> lk(shard.mu);
     auto it = shard.map.find(key);
-    if (it != shard.map.end() && sufficientFor(it->second, stepLimit)) {
+    if (it != shard.map.end() && it->second.rec &&
+        sufficientFor(*it->second.rec, stepLimit)) {
       layer.hits.fetch_add(1, std::memory_order_relaxed);
       layer.memoryHits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+      return it->second.rec;
     }
   }
   // An absent or guard-failing memory record falls through to disk: a
@@ -253,14 +250,17 @@ std::optional<Rec> PersistentVerdictStore::load(Layer<Rec>& layer,
     Rec rec;
     auto payload = readRecord(layer.kind, key, digest);
     if (payload && parse(*payload, rec)) {
-      keepStronger(layer, key, rec);
+      {
+        std::lock_guard<std::mutex> lk(shard.mu);
+        keepStronger(shard.map[key].rec, rec);
+      }
       if (sufficientFor(rec, stepLimit)) {
         layer.hits.fetch_add(1, std::memory_order_relaxed);
         return rec;
       }
     }
   }
-  if (countMiss) layer.misses.fetch_add(1, std::memory_order_relaxed);
+  layer.misses.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
 }
 
@@ -268,18 +268,27 @@ template <class Rec>
 void PersistentVerdictStore::publish(Layer<Rec>& layer,
                                      const std::string& key, const Rec& rec,
                                      const std::string* digest) {
-  if (keepStronger(layer, key, rec)) {
+  auto& shard = layer.shardFor(key);
+  bool kept = false, resolved = false;
+  {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    auto& entry = shard.map[key];
+    kept = keepStronger(entry.rec, rec);
+    // Publishing resolves the key's claim, kept or not: waiters wake to
+    // the record memory now holds.
+    resolved = std::exchange(entry.claim, 0) != 0;
+  }
+  if (resolved) shard.cv.notify_all();
+  // Outside the lock: no shard lock is ever held across file IO.
+  if (kept) {
     if (!dir_.empty()) writeRecord(layer.kind, key, render(rec), digest);
     layer.stores.fetch_add(1, std::memory_order_relaxed);
   }
-  // Publishing resolves any in-flight claim for this key, kept or not:
-  // joiners wake and re-probe the memory layer the lines above settled.
-  resolveFlight(layer.kind, key);
 }
 
 std::optional<VerdictRecord> PersistentVerdictStore::loadCheck(
     const std::string& key, long long stepLimit) {
-  return load(checks_, key, stepLimit, nullptr, /*countMiss=*/true);
+  return load(checks_, key, stepLimit, nullptr);
 }
 
 void PersistentVerdictStore::storeCheck(const std::string& key,
@@ -290,7 +299,7 @@ void PersistentVerdictStore::storeCheck(const std::string& key,
 std::optional<PersistentVerdictStore::TaskRecord>
 PersistentVerdictStore::loadTask(const std::string& key, long long stepLimit,
                                  const std::string& digest) {
-  return load(tasks_, key, stepLimit, &digest, /*countMiss=*/true);
+  return load(tasks_, key, stepLimit, &digest);
 }
 
 void PersistentVerdictStore::storeTask(const std::string& key,
@@ -299,130 +308,79 @@ void PersistentVerdictStore::storeTask(const std::string& key,
   publish(tasks_, key, rec, &digest);
 }
 
-PersistentVerdictStore::FlightShard& PersistentVerdictStore::flightShardFor(
-    const std::string& key) {
-  return flightShards_[fnv1a64(key) % kShards];
-}
-
-namespace {
-std::string flightKey(char kind, const std::string& key) {
-  std::string k(1, kind);
-  k += '|';
-  k += key;
-  return k;
-}
-}  // namespace
-
-void PersistentVerdictStore::resolveFlight(char kind, const std::string& key) {
-  FlightShard& fs = flightShardFor(key);
-  bool erased = false;
-  {
-    std::lock_guard<std::mutex> lk(fs.mu);
-    erased = fs.inflight.erase(flightKey(kind, key)) > 0;
-  }
-  if (erased) fs.cv.notify_all();
-}
-
-void PersistentVerdictStore::releaseFlight(char kind, const std::string& key,
-                                           unsigned long long token,
-                                           bool countUnclaim) {
-  FlightShard& fs = flightShardFor(key);
-  bool erased = false;
-  {
-    std::lock_guard<std::mutex> lk(fs.mu);
-    auto it = fs.inflight.find(flightKey(kind, key));
-    // Token check: if the publish already resolved this entry (and perhaps
-    // a new claimant re-registered the key), a stale handle must not erase
-    // the newcomer's claim.
-    if (it != fs.inflight.end() && it->second == token) {
-      fs.inflight.erase(it);
-      erased = true;
-    }
-  }
-  if (erased) {
-    if (countUnclaim)
-      flightUnclaims_.fetch_add(1, std::memory_order_relaxed);
-    fs.cv.notify_all();
-  }
-}
-
-std::optional<FlightClaim> PersistentVerdictStore::awaitOrClaim(
-    char kind, const std::string& key, bool& waited,
-    const support::CancelToken* cancel) {
-  FlightShard& fs = flightShardFor(key);
-  const std::string fkey = flightKey(kind, key);
-  std::unique_lock<std::mutex> lk(fs.mu);
-  auto it = fs.inflight.find(fkey);
-  if (it == fs.inflight.end()) {
-    const unsigned long long token =
-        claimToken_.fetch_add(1, std::memory_order_relaxed);
-    fs.inflight.emplace(fkey, token);
-    flightClaims_.fetch_add(1, std::memory_order_relaxed);
-    return FlightClaim(this, kind, key, token);
-  }
-  waited = true;
-  // Bounded wait, then let the caller re-probe: the condvar wakeup is an
-  // optimization, the timeout guarantees progress (and gives the cancel
-  // token a polling edge) even if a notify is missed.
-  fs.cv.wait_for(lk, std::chrono::milliseconds(20));
-  lk.unlock();
-  if (cancel != nullptr && cancel->poll()) throw support::Cancelled();
-  return std::nullopt;
-}
-
 template <class Rec>
 PersistentVerdictStore::Claim<Rec> PersistentVerdictStore::claim(
     Layer<Rec>& layer, const std::string& key, long long stepLimit,
-    const std::string* digest, const support::CancelToken* cancel) {
-  // Probe misses inside the claim loop are never counted — the caller's
-  // original lookup already counted the one real miss; hits (including
-  // joined ones) count as usual.
+    const support::CancelToken* cancel) {
+  auto& shard = layer.shardFor(key);
+  std::unique_lock<std::mutex> lk(shard.mu);
   Claim<Rec> out;
-  bool waited = false;
-  for (;;) {
-    if (auto owned = awaitOrClaim(layer.kind, key, waited, cancel)) {
-      // Ownership verification probe. A publish fully completes (memoize,
-      // then resolve) before its registry entry disappears, so if another
-      // owner published before we could register, memory already holds
-      // the result here — serve it instead of recomputing. This closes the
-      // lookup-miss → publish → claim race deterministically: duplicate
-      // fresh evaluations cannot happen, not just rarely happen.
-      if (auto rec = load(layer, key, stepLimit, digest, false)) {
-        releaseFlight(layer.kind, key, owned->token_, /*countUnclaim=*/false);
-        owned->store_ = nullptr;  // disarm: registration already dropped
-        if (waited) flightJoins_.fetch_add(1, std::memory_order_relaxed);
-        out.served = std::move(*rec);
-        return out;
-      }
-      out.claim = std::move(*owned);
+  for (bool waited = false;; waited = true) {
+    // Looked up afresh after every wait: an unclaim may have erased the
+    // entry meanwhile.
+    auto it = shard.map.find(key);
+    if (it != shard.map.end() && it->second.rec &&
+        sufficientFor(*it->second.rec, stepLimit)) {
+      layer.hits.fetch_add(1, std::memory_order_relaxed);
+      layer.memoryHits.fetch_add(1, std::memory_order_relaxed);
+      if (waited) flightJoins_.fetch_add(1, std::memory_order_relaxed);
+      out.served = it->second.rec;
       return out;
     }
-    // Woke from a bounded wait on another owner's claim: re-probe.
-    if (auto rec = load(layer, key, stepLimit, digest, false)) {
-      flightJoins_.fetch_add(1, std::memory_order_relaxed);
-      out.served = std::move(*rec);
+    if (it == shard.map.end() || it->second.claim == 0) {
+      const unsigned long long token =
+          claimToken_.fetch_add(1, std::memory_order_relaxed);
+      if (it == shard.map.end()) it = shard.map.try_emplace(key).first;
+      it->second.claim = token;
+      flightClaims_.fetch_add(1, std::memory_order_relaxed);
+      out.claim = FlightClaim(this, layer.kind, key, token);
       return out;
     }
+    // Another caller owns the key. The wait is bounded: the notify is an
+    // optimization, the timeout guarantees progress and gives the cancel
+    // token a polling edge.
+    shard.cv.wait_for(lk, std::chrono::milliseconds(20));
+    if (cancel != nullptr && cancel->poll()) throw support::Cancelled();
   }
+}
+
+template <class Rec>
+void PersistentVerdictStore::unclaim(Layer<Rec>& layer,
+                                     const std::string& key,
+                                     unsigned long long token) {
+  auto& shard = layer.shardFor(key);
+  {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    auto it = shard.map.find(key);
+    if (it == shard.map.end() || it->second.claim != token) return;
+    if (it->second.rec)
+      it->second.claim = 0;
+    else
+      shard.map.erase(it);
+  }
+  flightUnclaims_.fetch_add(1, std::memory_order_relaxed);
+  shard.cv.notify_all();
 }
 
 PersistentVerdictStore::CheckClaim PersistentVerdictStore::claimCheck(
     const std::string& key, long long stepLimit,
     const support::CancelToken* cancel) {
-  return claim(checks_, key, stepLimit, nullptr, cancel);
+  return claim(checks_, key, stepLimit, cancel);
 }
 
 PersistentVerdictStore::TaskClaim PersistentVerdictStore::claimTask(
-    const std::string& key, long long stepLimit, const std::string& digest,
+    const std::string& key, long long stepLimit,
     const support::CancelToken* cancel) {
-  return claim(tasks_, key, stepLimit, &digest, cancel);
+  return claim(tasks_, key, stepLimit, cancel);
 }
 
-void FlightClaim::release() {
-  if (store_ == nullptr) return;
-  PersistentVerdictStore* s = store_;
-  store_ = nullptr;
-  s->releaseFlight(kind_, key_, token_);
+void PersistentVerdictStore::FlightClaim::release() {
+  PersistentVerdictStore* s = std::exchange(store_, nullptr);
+  if (s == nullptr) return;
+  if (kind_ == s->checks_.kind)
+    s->unclaim(s->checks_, key_, token_);
+  else
+    s->unclaim(s->tasks_, key_, token_);
 }
 
 PersistentVerdictStore::Stats PersistentVerdictStore::stats() const {

@@ -21,6 +21,11 @@
 // memoize every record they parse, so a budget-starved run can never
 // overwrite the complete records an earlier run persisted.
 //
+// Each record kind has ONE sharded table. An entry holds the strongest
+// record seen, an in-flight claim (single flight, below), or both, and
+// every decision about a key — serve, wait, claim, publish, unclaim — is
+// made under its shard's one lock.
+//
 // Durability contract:
 //   - every file carries its FULL key and is verified byte-for-byte on
 //     load; the 128-bit digest in the file name only locates candidates,
@@ -46,9 +51,9 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "smt/singleflight.h"
 #include "smt/solver.h"
 
 namespace formad::support {
@@ -103,25 +108,67 @@ class PersistentVerdictStore {
   void storeTask(const std::string& key, const TaskRecord& rec,
                  const std::string& digest);
 
-  // Single-flight in-flight registry (duplicate-proof suppression).
+  // Single flight (duplicate-proof suppression). claimCheck/claimTask gate
+  // one evaluation per content fingerprint at a time. A claim serves a
+  // record that passes the same budget-provenance guard, under the
+  // CALLER's step limit, as any load; otherwise the first caller gets an
+  // owned FlightClaim and computes, and every concurrent duplicate waits
+  // until the owner publishes (storeCheck/storeTask) or unclaims. A
+  // publish insufficient for a waiting joiner's budget does not satisfy
+  // it: the joiner claims and recomputes under its own budget. Dedup
+  // changes wall time and IO/dedup counters only, never a verdict.
   //
-  // claimCheck/claimTask gate one evaluation per content fingerprint at a
-  // time: the first caller gets an owned FlightClaim and computes; every
-  // concurrent duplicate blocks here, re-probing the store until the
-  // owner publishes (storeCheck/storeTask resolve the claim) or unclaims
-  // (FlightClaim destruction without publishing), in which case the first
-  // waiter to re-probe becomes the new owner and recomputes.
-  //
-  // Verdict-neutrality: a joined result is served through the SAME loads —
-  // and hence the same budget-provenance guard under the JOINER's step
-  // limit — as any other hit. A publish that is insufficient for a
-  // waiting joiner's budget does not satisfy it; the joiner claims and
-  // recomputes under its own budget. Dedup changes wall time and IO/dedup
-  // counters only, never a verdict.
+  // Claims read memory only, so a caller loads first: every publish in
+  // this process lands in memory before it clears its claim, so a record
+  // published between the load and the claim serves the claim. A record
+  // another process writes in that window is recomputed — time, never a
+  // verdict.
   //
   // `cancel`, when non-null, is polled while waiting; a fired token throws
   // support::Cancelled, so a joiner can never hang on a stalled winner
   // past its own deadline.
+
+  /// RAII handle for one owned claim. Publishing clears the claim and
+  /// wakes every waiter. If the owner unwinds without publishing
+  /// (cancellation, deadline, injected fault), destruction unclaims and
+  /// the first waiter to look again becomes the new owner: failure costs a
+  /// recompute, never a leaked claim or a poisoned result.
+  class FlightClaim {
+   public:
+    FlightClaim() = default;
+    FlightClaim(FlightClaim&& o) noexcept { *this = std::move(o); }
+    FlightClaim& operator=(FlightClaim&& o) noexcept {
+      if (this != &o) {
+        release();
+        store_ = std::exchange(o.store_, nullptr);
+        kind_ = o.kind_;
+        key_ = std::move(o.key_);
+        token_ = o.token_;
+      }
+      return *this;
+    }
+    FlightClaim(const FlightClaim&) = delete;
+    FlightClaim& operator=(const FlightClaim&) = delete;
+    ~FlightClaim() { release(); }
+
+    /// True for a handle claimCheck/claimTask handed ownership; false for
+    /// default-constructed (inert) and moved-from handles.
+    [[nodiscard]] bool owned() const { return store_ != nullptr; }
+
+   private:
+    friend class PersistentVerdictStore;
+    FlightClaim(PersistentVerdictStore* store, char kind, std::string key,
+                unsigned long long token)
+        : store_(store), kind_(kind), key_(std::move(key)), token_(token) {}
+    /// Unclaims. After the owner published this only drops the handle: the
+    /// publish cleared the claim, so the token no longer matches.
+    void release();
+
+    PersistentVerdictStore* store_ = nullptr;
+    char kind_ = 'c';
+    std::string key_;
+    unsigned long long token_ = 0;
+  };
 
   template <class Rec>
   struct Claim {
@@ -135,7 +182,6 @@ class PersistentVerdictStore {
                                       const support::CancelToken* cancel);
   [[nodiscard]] TaskClaim claimTask(const std::string& key,
                                     long long stepLimit,
-                                    const std::string& digest,
                                     const support::CancelToken* cancel);
 
   /// Monotone IO counters (relaxed atomics; snapshot semantics only).
@@ -163,20 +209,26 @@ class PersistentVerdictStore {
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
  private:
-  friend class FlightClaim;
-
   static constexpr size_t kShards = 16;
 
-  /// One record kind: its file tag, memory map (sharded by content key;
-  /// positive records only — a miss is never memoized, so a record
-  /// another process writes to the shared directory later is still found)
-  /// and IO counters.
+  /// One record kind: its file tag, its one table (sharded by content
+  /// key) and IO counters.
   template <class Rec>
   struct Layer {
     explicit Layer(char k) : kind(k) {}
+    /// A key's state: the strongest record seen, the token of the claim in
+    /// flight (0 = none), or both. An entry without a record lives only
+    /// while it is claimed — unclaiming erases it — so a miss is never
+    /// memoized, and a record another process writes to the shared
+    /// directory later is still found.
+    struct Entry {
+      std::optional<Rec> rec;
+      unsigned long long claim = 0;
+    };
     struct Shard {
       std::mutex mu;
-      std::unordered_map<std::string, Rec> map;
+      std::condition_variable cv;  // notified when a claim is cleared
+      std::unordered_map<std::string, Entry> map;
     };
     [[nodiscard]] Shard& shardFor(const std::string& key) {
       return shards[fnv1a64(key) % kShards];
@@ -188,52 +240,25 @@ class PersistentVerdictStore {
 
   // The record-kind-generic bodies of the public loads, stores and claims.
   // `digest` names the file: caller-supplied for task records, nullptr
-  // (contentDigest(key)) for check records. The claim loop re-probes on
-  // every wakeup, so its loads pass countMiss = false — the caller's
-  // original lookup already counted the one real miss.
+  // (contentDigest(key)) for check records.
   template <class Rec>
   [[nodiscard]] std::optional<Rec> load(Layer<Rec>& layer,
                                         const std::string& key,
                                         long long stepLimit,
-                                        const std::string* digest,
-                                        bool countMiss);
+                                        const std::string* digest);
   template <class Rec>
   void publish(Layer<Rec>& layer, const std::string& key, const Rec& rec,
                const std::string* digest);
   template <class Rec>
   [[nodiscard]] Claim<Rec> claim(Layer<Rec>& layer, const std::string& key,
                                  long long stepLimit,
-                                 const std::string* digest,
                                  const support::CancelToken* cancel);
-  /// Keeps the stronger of `rec` and the record memory holds for `key`;
-  /// true when `rec` was kept (new or stronger).
+  /// Clears `key`'s claim if it still carries `token` — a publish may have
+  /// cleared it and a later caller claimed again, and a stale handle must
+  /// not clobber that claim.
   template <class Rec>
-  bool keepStronger(Layer<Rec>& layer, const std::string& key,
-                    const Rec& rec);
-
-  // In-flight registry: sharded (mutex, condvar, map of resolved-by-token
-  // entries) keyed by kind + content key. resolveFlight is called by every
-  // store (publish resolves); releaseFlight by FlightClaim (unclaim), which
-  // erases only if the token still matches — a later claimant's fresh entry
-  // is never clobbered by a stale handle.
-  struct FlightShard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::unordered_map<std::string, unsigned long long> inflight;
-  };
-  [[nodiscard]] FlightShard& flightShardFor(const std::string& key);
-  void resolveFlight(char kind, const std::string& key);
-  /// `countUnclaim` is false only for the claim loops' verification-probe
-  /// release (registered, then found the result already published): nothing
-  /// was abandoned mid-compute, so it is not an unclaim for the counters.
-  void releaseFlight(char kind, const std::string& key,
-                     unsigned long long token, bool countUnclaim = true);
-  /// The claim loop body: returns an owned claim once the key is free, or
-  /// nullopt after a wakeup (caller re-probes). Throws support::Cancelled
-  /// when `cancel` fires.
-  [[nodiscard]] std::optional<FlightClaim> awaitOrClaim(
-      char kind, const std::string& key, bool& waited,
-      const support::CancelToken* cancel);
+  void unclaim(Layer<Rec>& layer, const std::string& key,
+               unsigned long long token);
 
   [[nodiscard]] std::string pathFor(char kind, const std::string& key,
                                     const std::string* digest) const;
@@ -248,7 +273,6 @@ class PersistentVerdictStore {
   std::string dir_;
   Layer<VerdictRecord> checks_{'c'};
   Layer<TaskRecord> tasks_{'t'};
-  std::array<FlightShard, kShards> flightShards_;
   std::atomic<long long> flightClaims_{0}, flightJoins_{0},
       flightUnclaims_{0};
   std::atomic<unsigned long long> claimToken_{1};

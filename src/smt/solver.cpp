@@ -133,7 +133,7 @@ CheckResult Solver::check() {
   // destructor unclaims so a joiner recomputes instead of hanging.
   const std::string key = stackKey();
   std::optional<VerdictRecord> served = store_->loadCheck(key, stepLimit_);
-  FlightClaim claim;
+  PersistentVerdictStore::FlightClaim claim;
   if (!served) {
     auto flight = store_->claimCheck(key, stepLimit_, cancel_);
     served = std::move(flight.served);

@@ -500,6 +500,13 @@ class StencilRaces {
     opts.analysisThreads = threads;
     return driver::checkRaces(*kernel_, opts);
   }
+  /// The race checker itself, on a pool of `threads` workers.
+  [[nodiscard]] racecheck::RaceReport check(
+      int threads, racecheck::RaceCheckOptions opts) const {
+    WorkPool pool(threads);
+    opts.pool = &pool;
+    return racecheck::checkKernelRaces(*kernel_, opts);
+  }
 
  private:
   // The report points into the kernel, which must outlive it.
@@ -551,8 +558,8 @@ TEST(RaceCheckGovernance, PreCancelledTokenSkipsEveryPair) {
   for (int threads : {1, 4}) {
     CancelToken token;
     token.cancel();
-    driver::DriverOptions opts;
-    opts.racecheck.cancel = &token;
+    racecheck::RaceCheckOptions opts;
+    opts.cancel = &token;
     const auto report = races.check(threads, opts);
     ASSERT_EQ(report.regions.size(), 1u);
     const auto& r = report.regions[0];

@@ -439,7 +439,7 @@ TEST(RaceCheckDriver, ColoringFactForwardsThroughDriverOptions) {
   driver::DriverOptions opts;
   opts.mode = driver::AdjointMode::Atomic;
   opts.racecheckPrimal = true;
-  opts.racecheck.colorings.insert("edge2nodes");
+  opts.colorings.insert("edge2nodes");
   auto dr = driver::differentiate(*k, spec.independents, spec.dependents, opts);
   ASSERT_NE(dr.adjoint, nullptr);
   EXPECT_EQ(dr.raceReport.overall(), RaceVerdict::RaceFree);

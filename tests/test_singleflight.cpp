@@ -1,10 +1,11 @@
 // The shared work-stealing analysis pool (support::SharedAnalysisPool) and
-// the single-flight in-flight proof registry layered over
-// smt::PersistentVerdictStore: every task index runs exactly once at any
-// worker count, exceptions and cancellation keep WorkPool's semantics,
-// fairness stats behave, duplicate claims join the winner's published
-// verdict, an unclaimed (failed) winner hands ownership to a joiner instead
-// of wedging it, budget-insufficient publishes do not satisfy joiners, and
+// the single-flight claims of smt::PersistentVerdictStore: every task index
+// runs exactly once at any worker count, exceptions and cancellation keep
+// WorkPool's semantics, fairness stats behave, duplicate claims join the
+// winner's published verdict, an unclaimed (failed) winner hands ownership
+// to a joiner instead of wedging it, budget-insufficient publishes do not
+// satisfy joiners, a dropped claim leaves no miss behind, a publish that
+// lands between a caller's load and its claim serves the claim, and
 // concurrent identical analyses through the driver do exactly one cold
 // run's worth of fresh work while staying byte-identical.
 #include <gtest/gtest.h>
@@ -131,7 +132,7 @@ TEST(SharedPool, ConcurrentClientsAllCompleteAndShareWorkers) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-flight registry, store level.
+// Single flight, store level.
 
 smt::VerdictRecord unsatEntry() {
   smt::VerdictRecord e;
@@ -253,13 +254,13 @@ TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
   const std::string key = "task|base+probes";
   const std::string digest = "0123456789abcdef0123456789abcdef";
 
-  auto winner = store.claimTask(key, 0, digest, nullptr);
+  auto winner = store.claimTask(key, 0, nullptr);
   ASSERT_TRUE(winner.claim.owned());
   ASSERT_FALSE(winner.served.has_value());
 
   std::optional<smt::PersistentVerdictStore::TaskRecord> joined;
   std::thread joiner([&] {
-    auto c = store.claimTask(key, 0, digest, nullptr);
+    auto c = store.claimTask(key, 0, nullptr);
     ASSERT_TRUE(c.served.has_value());
     EXPECT_FALSE(c.claim.owned());
     joined = c.served;
@@ -276,6 +277,47 @@ TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
   ASSERT_TRUE(joined.has_value());
   EXPECT_TRUE(joined->pairSafe);
   EXPECT_EQ(joined->steps, (std::vector<long long>{4, 9}));
+}
+
+TEST(SingleFlight, DroppedClaimLeavesNoMissBehind) {
+  // A claim's entry holds no record; dropping the claim unpublished must
+  // leave nothing that hides a record another process persists later.
+  TempDir dir("dropped");
+  smt::PersistentVerdictStore a(dir.path.string());
+  smt::PersistentVerdictStore b(dir.path.string());
+  const std::string key = "conj|dropped";
+  {
+    auto dropped = a.claimCheck(key, 0, nullptr);
+    ASSERT_TRUE(dropped.claim.owned());
+  }
+  b.storeCheck(key, unsatEntry());
+
+  const auto loaded = a.loadCheck(key, 0);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->result, smt::CheckResult::Unsat);
+  EXPECT_EQ(a.stats().checkHits, 1);
+  EXPECT_EQ(a.stats().checkMemoryHits, 0);  // served from disk
+
+  auto c = a.claimCheck(key, 0, nullptr);
+  ASSERT_TRUE(c.served.has_value());
+  EXPECT_FALSE(c.claim.owned());
+}
+
+TEST(SingleFlight, PublishBetweenLoadAndClaimServesTheClaim) {
+  // Another solver publishes after this caller's load missed: the claim
+  // must serve that record, taking no ownership it then has to drop.
+  smt::PersistentVerdictStore store("");
+  const std::string key = "conj|raced";
+  ASSERT_FALSE(store.loadCheck(key, 0).has_value());
+  store.storeCheck(key, unsatEntry());
+
+  auto c = store.claimCheck(key, 0, nullptr);
+  ASSERT_TRUE(c.served.has_value());
+  EXPECT_FALSE(c.claim.owned());
+  EXPECT_EQ(c.served->result, smt::CheckResult::Unsat);
+  const auto s = store.stats();
+  EXPECT_EQ(s.flightClaims, 0);
+  EXPECT_EQ(s.flightUnclaims, 0);
 }
 
 // ---------------------------------------------------------------------------
