@@ -12,17 +12,6 @@ namespace formad::core {
 
 using namespace ::formad::ir;
 
-const RegionVerdict* KernelAnalysis::regionFor(const For* loop) const {
-  for (const auto& r : regions)
-    if (r.loop == loop) return &r;
-  return nullptr;
-}
-
-bool KernelAnalysis::isSafe(const For* loop, const std::string& var) const {
-  const RegionVerdict* r = regionFor(loop);
-  return r != nullptr && r->isSafe(var);
-}
-
 int KernelAnalysis::modelAssertions() const {
   int n = 0;
   for (const auto& r : regions) n += r.modelAssertions;

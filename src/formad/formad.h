@@ -21,11 +21,6 @@ struct AnalyzeOptions {
 struct KernelAnalysis {
   std::vector<RegionVerdict> regions;
 
-  [[nodiscard]] const RegionVerdict* regionFor(const ir::For* loop) const;
-  /// Safe == the adjoint accesses of `var` in `loop` were all proven
-  /// disjoint; unknown loops/vars are unsafe.
-  [[nodiscard]] bool isSafe(const ir::For* loop, const std::string& var) const;
-
   // Aggregate Table-1 statistics over all regions of the kernel.
   [[nodiscard]] int modelAssertions() const;
   /// Abstract-interpretation facts across all regions (0 with absint off).

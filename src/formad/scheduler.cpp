@@ -18,7 +18,6 @@
 
 namespace formad::core {
 
-using smt::CheckResult;
 using smt::Constraint;
 using smt::LinExpr;
 
@@ -294,33 +293,19 @@ QueryResult QueryScheduler::evaluate(smt::Solver& solver, int& cur,
 
   QueryResult r;
   r.evaluated = true;
-  auto& rec = r.record;
-  // Step provenance per check: steps a complete verdict consumed, or the
-  // limit an exhausted one ran out at (what sufficientFor needs to govern
-  // a later run splicing the persisted record).
-  auto recordCheck = [&] {
-    rec.tiers.push_back(solver.lastCheckTier());
-    const bool exhausted = solver.lastCheckBudgetExhausted();
-    rec.exhausted.push_back(exhausted ? 1 : 0);
-    rec.steps.push_back(exhausted ? solver.stepBudget()
-                                  : solver.lastCheckSteps());
-  };
+  auto& checks = r.record.checks;
   if (task.kind == QueryTask::Kind::Consistency) {
-    rec.unsat = solver.check() == CheckResult::Unsat;
-    recordCheck();
+    (void)solver.check();
+    checks.push_back(solver.lastCheck());
   } else {
     // The serial walk checks the flattened offsets first, then — under the
     // in-bounds assumption — each dimension, stopping at the first Unsat.
-    for (size_t k = 0; k < task.probes.size(); ++k) {
+    for (size_t k = 0; k < task.probes.size() && !r.record.proved(); ++k) {
       solver.push();
       solver.add(task.probes[k], task.probeKeys[k]);
-      bool unsat = solver.check() == CheckResult::Unsat;
-      recordCheck();
+      (void)solver.check();
+      checks.push_back(solver.lastCheck());
       solver.pop();
-      if (unsat) {
-        rec.pairSafe = true;
-        break;
-      }
     }
   }
   r.seconds = secondsSince(t0);
@@ -389,8 +374,8 @@ RegionVerdict QueryScheduler::replay(const std::vector<QueryResult>& results,
   std::set<std::pair<int, std::string>> seenStacks;
   auto accountChecks = [&](const QueryTask& task, const QueryResult& res) {
     const int base = baseContentId(task.baseId);
-    const auto& rec = res.record;
-    for (size_t i = 0; i < rec.tiers.size(); ++i) {
+    const auto& checks = res.record.checks;
+    for (size_t i = 0; i < checks.size(); ++i) {
       std::string probe = task.kind == QueryTask::Kind::Pair
                               ? task.probeKeys[i]
                               : std::string();
@@ -399,13 +384,13 @@ RegionVerdict QueryScheduler::replay(const std::vector<QueryResult>& results,
         ++verdict.solverCacheHits;
         continue;
       }
-      if (rec.tiers[i] == 0)
+      if (checks[i].tier == 0)
         ++verdict.tier0Hits;
-      else if (rec.tiers[i] == 1)
+      else if (checks[i].tier == 1)
         ++verdict.tier1Hits;
       else
         ++verdict.tier2Checks;
-      if (rec.exhausted[i] != 0) ++verdict.budgetExhaustedChecks;
+      if (!checks[i].complete) ++verdict.budgetExhaustedChecks;
     }
   };
 
@@ -424,7 +409,7 @@ RegionVerdict QueryScheduler::replay(const std::vector<QueryResult>& results,
       // the safeguard still holds wherever evaluation did run.
       if (!res.evaluated) continue;
       accountChecks(tasks_[static_cast<size_t>(step.taskIndex)], res);
-      if (res.record.unsat) {
+      if (res.record.proved()) {
         // Satisfiability safeguard (paper Sec. 5.5): the knowledge itself
         // is contradictory, so every disjointness "proof" below it would be
         // vacuous. Record the contradiction, distrust the whole region, and
@@ -467,14 +452,15 @@ RegionVerdict QueryScheduler::replay(const std::vector<QueryResult>& results,
         outcome.reason = "cancelled";
         ++verdict.degradedPairs;
       } else {
-        outcome.safe = res.record.pairSafe;
-        if (!outcome.safe) {
-          for (char e : res.record.exhausted)
-            if (e != 0) {
-              outcome.reason = "step budget exhausted";
-              ++verdict.degradedPairs;
-              break;
-            }
+        const auto& checks = res.record.checks;
+        outcome.safe = res.record.proved();
+        if (!outcome.safe &&
+            std::any_of(checks.begin(), checks.end(),
+                        [](const smt::VerdictRecord& c) {
+                          return !c.complete;
+                        })) {
+          outcome.reason = "step budget exhausted";
+          ++verdict.degradedPairs;
         }
       }
       pairVerdicts.emplace(step.pairKey, outcome);
@@ -596,8 +582,8 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     const QueryResult& r = results[i];
     if (!r.evaluated) return;
     if (tasks_[i].kind == QueryTask::Kind::Consistency) {
-      if (r.record.unsat) lower(stopAt, taskSteps_[i].front());
-    } else if (!r.record.pairSafe && !opts_.siteVerdicts) {
+      if (r.record.proved()) lower(stopAt, taskSteps_[i].front());
+    } else if (!r.record.proved() && !opts_.siteVerdicts) {
       for (size_t pos : taskSteps_[i])
         lower(unsafeFrom[schedule_[pos].varIndex], pos);
     }

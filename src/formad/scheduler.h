@@ -101,15 +101,13 @@ struct QueryTask {
 /// Outcome of evaluating one QueryTask.
 struct QueryResult {
   bool evaluated = false;
-  /// The verdict plus, per solver check performed (1 for Consistency; for
-  /// Pair, one per probe tried before the first Unsat), its decision tier
-  /// (0/1 fast path, 2 full solve), whether it returned a budget-exhausted
-  /// Unknown, and its deterministic step provenance. Under a fixed step
-  /// budget each is a pure function of the conjunction, hence identical at
-  /// any width: replay accounts queries from it exactly as the serial walk
-  /// would, and it is the record the store persists, so
-  /// VerdictRecord::sufficientFor can govern whether a later run may
-  /// splice it.
+  /// The solver's record of each check performed (1 for Consistency; for
+  /// Pair, one per probe tried up to the first Unsat): verdict, decision
+  /// tier and budget provenance. Under a fixed step budget each is a pure
+  /// function of the conjunction, hence identical at any width: replay
+  /// accounts queries from it exactly as the serial walk would, and it is
+  /// the record the store persists, so VerdictRecord::sufficientFor can
+  /// govern whether a later run may splice it.
   smt::PersistentVerdictStore::TaskRecord record;
   double seconds = 0.0;  // wall time of this task (scaling diagnostics)
 };
@@ -117,8 +115,6 @@ struct QueryResult {
 class QueryScheduler {
  public:
   QueryScheduler(const RegionModel& model, const ExploitOptions& opts);
-
-  [[nodiscard]] const std::vector<QueryTask>& tasks() const { return tasks_; }
 
   /// Evaluates the plan and replays the canonical schedule. A null `pool`
   /// runs on one inline worker. The returned verdict is bit-identical

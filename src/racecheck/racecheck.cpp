@@ -1,8 +1,8 @@
 #include "racecheck/racecheck.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "analysis/accesses.h"
@@ -129,7 +129,6 @@ class RegionChecker {
   }
 
   RegionRaceReport run() {
-    auto t0 = std::chrono::steady_clock::now();
     report_.loop = &loop_;
 
     // Region-level cancellation: an externally owned token wins; otherwise
@@ -212,10 +211,6 @@ class RegionChecker {
       report_.verdict = RaceVerdict::Unknown;
     else
       report_.verdict = RaceVerdict::RaceFree;
-
-    report_.analysisSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
     return std::move(report_);
   }
 
@@ -259,11 +254,9 @@ class RegionChecker {
     enum class Kind { Proven, Assumed, Undecided, Witness };
     Kind kind = Kind::Undecided;
     std::string reason;  // Undecided; empty = never evaluated (cancelled)
-    int checks = 0;      // solver check() calls this query issued
-    int checkTier = 2;   // decision tier of that check (0/1 fast, 2 solve)
-    /// The check returned a budget-exhausted Unknown (deterministic under
-    /// a fixed step budget).
-    bool exhausted = false;
+    /// The solver's record of the one check this query issued, if any
+    /// (deterministic under a fixed step budget).
+    std::optional<smt::VerdictRecord> check;
     smt::Model model;    // Witness
     std::vector<long long> indices;
   };
@@ -561,11 +554,9 @@ class RegionChecker {
     solver.push();
     for (size_t k = 0; k < t.da.size(); ++k)
       solver.add(smt::Constraint::eq(t.da[k], t.db[k]));
-    smt::CheckResult r = solver.check();
-    o.checks = 1;
-    o.checkTier = solver.lastCheckTier();
-    o.exhausted = solver.lastCheckBudgetExhausted();
-    if (r == smt::CheckResult::Unsat) {
+    (void)solver.check();
+    o.check = solver.lastCheck();
+    if (o.check->result == smt::CheckResult::Unsat) {
       solver.pop();
       o.kind = PairOutcome::Kind::Proven;
       return o;
@@ -585,7 +576,7 @@ class RegionChecker {
     // A budget-exhausted Unknown is a resource verdict, not a structural
     // one: the pair stays undecided (skip the witness search — a solver
     // that could not finish the check will not confirm a model either).
-    if (o.exhausted) {
+    if (!o.check->complete) {
       solver.pop();
       o.reason = "solver step budget exhausted";
       return o;
@@ -641,16 +632,9 @@ class RegionChecker {
   /// old checkPair, always executed in canonical pair order.
   void mergePair(const PairTask& t, const PairOutcome& o) {
     ++report_.pairsChecked;
-    report_.queries += o.checks;
-    if (o.checks > 0) {
-      if (o.checkTier == 0)
-        ++report_.tier0Hits;
-      else if (o.checkTier == 1)
-        ++report_.tier1Hits;
-      else
-        ++report_.tier2Checks;
-    }
-    if (o.exhausted) ++report_.budgetExhaustedChecks;
+    const bool exhausted = o.check && !o.check->complete;
+    if (o.check) ++report_.queries;
+    if (exhausted) ++report_.budgetExhaustedChecks;
     switch (o.kind) {
       case PairOutcome::Kind::Proven:
         ++report_.pairsProven;
@@ -663,9 +647,7 @@ class RegionChecker {
         // (cancellation got there first); both that and budget exhaustion
         // are governance degradations, not structural unknowns.
         const bool skipped = o.reason.empty();
-        if (skipped || (o.exhausted &&
-                        o.reason == "solver step budget exhausted"))
-          ++report_.degradedPairs;
+        if (skipped || exhausted) ++report_.degradedPairs;
         recordUndecided(
             t, skipped ? "cancelled before evaluation (deadline or failure)"
                        : o.reason);

@@ -102,12 +102,6 @@ struct RegionRaceReport {
   int pairsProven = 0;   // discharged by an Unsat proof
   int pairsAssumed = 0;  // discharged by a declared coloring fact
   int queries = 0;       // solver check() calls issued
-  /// Decision-tier breakdown of the queries (0/1 fast path, 2 full solve;
-  /// store-served checks count under the tier that first decided them).
-  /// queries == tier0Hits + tier1Hits + tier2Checks, at any pool width.
-  long long tier0Hits = 0;
-  long long tier1Hits = 0;
-  long long tier2Checks = 0;
   /// Queries that returned a budget-exhausted Unknown. 0 unless a step
   /// budget is configured, so default reports are byte-identical to the
   /// pre-governance format (describe() appends these only when nonzero).
@@ -115,7 +109,6 @@ struct RegionRaceReport {
   /// Pairs left undecided by resource governance — budget exhaustion or
   /// cancellation — rather than by the structure of the query.
   long long degradedPairs = 0;
-  double analysisSeconds = 0;
 };
 
 /// Verdicts for every parallel region of a kernel.

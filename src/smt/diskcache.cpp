@@ -42,12 +42,10 @@ std::optional<CheckResult> parseVerdict(const std::string& tag) {
 /// point, same verdict.
 bool sufficientFor(const PersistentVerdictStore::TaskRecord& rec,
                    long long stepLimit) {
-  for (size_t i = 0; i < rec.tiers.size(); ++i)
-    if (!VerdictRecord{CheckResult::Unknown, rec.tiers[i],
-                       rec.exhausted[i] == 0, rec.steps[i]}
-             .sufficientFor(stepLimit))
-      return false;
-  return true;
+  return std::all_of(rec.checks.begin(), rec.checks.end(),
+                     [&](const VerdictRecord& c) {
+                       return c.sufficientFor(stepLimit);
+                     });
 }
 
 bool sufficientFor(const VerdictRecord& e, long long stepLimit) {
@@ -60,12 +58,12 @@ bool sufficientFor(const VerdictRecord& e, long long stepLimit) {
 /// its smallest exhaustion limit, which bounds every budget it serves.
 VerdictRecord provenance(const PersistentVerdictStore::TaskRecord& rec) {
   VerdictRecord p;
-  for (size_t i = 0; i < rec.tiers.size(); ++i) {
-    if (rec.exhausted[i] != 0) {
-      if (p.complete || rec.steps[i] < p.steps) p.steps = rec.steps[i];
+  for (const VerdictRecord& c : rec.checks) {
+    if (!c.complete) {
+      if (p.complete || c.steps < p.steps) p.steps = c.steps;
       p.complete = false;
     } else if (p.complete) {
-      p.steps = std::max(p.steps, rec.steps[i]);
+      p.steps = std::max(p.steps, c.steps);
     }
   }
   return p;
@@ -94,24 +92,14 @@ std::string render(const VerdictRecord& e) {
 }
 
 std::string render(const PersistentVerdictStore::TaskRecord& rec) {
-  std::string payload = "task ";
-  payload += rec.unsat ? "1 " : "0 ";
-  payload += rec.pairSafe ? "1 " : "0 ";
-  payload += std::to_string(rec.tiers.size());
-  payload += '\n';
-  for (size_t i = 0; i < rec.tiers.size(); ++i) {
-    payload += "c ";
-    payload += std::to_string(rec.tiers[i]);
-    payload += rec.exhausted[i] != 0 ? " 1 " : " 0 ";
-    payload += std::to_string(rec.steps[i]);
-    payload += '\n';
-  }
+  std::string payload = "task " + std::to_string(rec.checks.size()) + '\n';
+  for (const VerdictRecord& c : rec.checks) payload += render(c);
   return payload;
 }
 
-bool parse(const std::vector<std::string>& payload, VerdictRecord& e) {
-  if (payload.size() != 1) return false;
-  std::istringstream is(payload[0]);
+/// Parses one check line, the one payload line of a check file.
+bool parseCheck(const std::string& line, VerdictRecord& e) {
+  std::istringstream is(line);
   std::string tag, verdict;
   int complete = -1;
   if (!(is >> tag >> verdict >> e.tier >> complete >> e.steps) ||
@@ -125,29 +113,26 @@ bool parse(const std::vector<std::string>& payload, VerdictRecord& e) {
   return true;
 }
 
+bool parse(const std::vector<std::string>& payload, VerdictRecord& e) {
+  return payload.size() == 1 && parseCheck(payload[0], e);
+}
+
 bool parse(const std::vector<std::string>& payload,
            PersistentVerdictStore::TaskRecord& rec) {
   if (payload.empty()) return false;
   std::istringstream head(payload[0]);
   std::string tag;
-  int unsat = -1, pairSafe = -1;
-  size_t nChecks = 0;
-  if (!(head >> tag >> unsat >> pairSafe >> nChecks) || tag != "task" ||
-      (unsat != 0 && unsat != 1) || (pairSafe != 0 && pairSafe != 1) ||
-      payload.size() != nChecks + 1)
+  size_t n = 0;
+  if (!(head >> tag >> n) || tag != "task" || n == 0 ||
+      payload.size() != n + 1)
     return false;
-  rec.unsat = unsat != 0;
-  rec.pairSafe = pairSafe != 0;
-  for (size_t i = 1; i <= nChecks; ++i) {
-    std::istringstream is(payload[i]);
-    int tier = -1, exhausted = -1;
-    long long steps = 0;
-    if (!(is >> tag >> tier >> exhausted >> steps) || tag != "c" ||
-        tier < 0 || tier > 2 || (exhausted != 0 && exhausted != 1))
+  rec.checks.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    // The probe walk stops at the first Unsat: one before the last check
+    // marks a payload no walk wrote.
+    if (!parseCheck(payload[i + 1], rec.checks[i]) ||
+        (i + 1 < n && rec.checks[i].result == CheckResult::Unsat))
       return false;
-    rec.tiers.push_back(tier);
-    rec.exhausted.push_back(static_cast<char>(exhausted));
-    rec.steps.push_back(steps);
   }
   return true;
 }

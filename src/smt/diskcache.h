@@ -10,10 +10,13 @@
 //     provenance) per conjunction fingerprint. A Solver with the store
 //     attached loads, claims, decides and stores through them.
 //   - task records: the outcome of one scheduler QueryTask (consistency
-//     probe or pair-probe sequence), keyed by base-conjunction fingerprint
-//     plus the ordered probe keys. The scheduler splices these into its
-//     result table before evaluation, so a warm run of an unchanged
-//     context performs ZERO solver checks — not even served ones.
+//     probe or pair-probe sequence) as the VerdictRecords of its checks in
+//     probe order, keyed by base-conjunction fingerprint plus the ordered
+//     probe keys. A task file's payload is a `task <n>` line followed by
+//     n check lines, each exactly the line a check file carries. The
+//     scheduler splices these into its result table before evaluation, so
+//     a warm run of an unchanged context performs ZERO solver checks — not
+//     even served ones.
 //
 // Record policy, the same for both kinds: memory keeps the stronger of two
 // records for a key (VerdictRecord::upgrades), and a record is written to
@@ -73,15 +76,18 @@ class PersistentVerdictStore {
   /// Throws formad::Error when the directory cannot be created.
   explicit PersistentVerdictStore(std::string dir);
 
-  /// Outcome of one persisted scheduler task: the summary verdict plus the
-  /// per-check replay trace (tier / exhausted flag / step provenance per
-  /// check, in probe order).
+  /// Outcome of one persisted scheduler task: the record of each check it
+  /// performed, in probe order. The probe walk stops at the first Unsat,
+  /// so only the last check can be Unsat; a payload read from disk that
+  /// breaks this, or holds no check, is malformed and costs a miss.
   struct TaskRecord {
-    bool unsat = false;     // Consistency: base proven Unsat
-    bool pairSafe = false;  // Pair: some probe proved disjointness
-    std::vector<int> tiers;
-    std::vector<char> exhausted;
-    std::vector<long long> steps;  // complete: steps used; else limit hit
+    std::vector<VerdictRecord> checks;
+
+    /// True iff the last check is Unsat: a consistency task found its base
+    /// contradictory, a pair task proved its pair disjoint.
+    [[nodiscard]] bool proved() const {
+      return !checks.empty() && checks.back().result == CheckResult::Unsat;
+    }
   };
 
   /// Loads the check verdict stored under `key`, or nullopt when absent,

@@ -108,8 +108,6 @@ std::string Solver::stackKey() const {
 CheckResult Solver::check() {
   requireOwner();
   ++stats_.checks;
-  lastBudgetExhausted_ = false;
-  lastSteps_ = 0;
   if (fault_ != nullptr) {
     long long n =
         fault_->checksSeen.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -117,13 +115,15 @@ CheckResult Solver::check() {
       fail("injected solver fault at check " + std::to_string(n));
     if (fault_->unknownAtCheck > 0 && n == fault_->unknownAtCheck) {
       // An injected fault is not a verdict — never cached.
-      lastTier_ = 2;
-      lastBudgetExhausted_ = true;
+      last_ = {CheckResult::Unknown, 2, false, stepLimit_};
       ++stats_.budgetExhausted;
-      return CheckResult::Unknown;
+      return last_.result;
     }
   }
-  if (store_ == nullptr) return decide();
+  if (store_ == nullptr) {
+    last_ = decide();
+    return last_.result;
+  }
   // Load, then claim: a conjunction another solver — another worker,
   // another session of a daemon — is deciding right now is joined
   // instead of re-paid. A joined verdict is indistinguishable from a
@@ -141,65 +141,39 @@ CheckResult Solver::check() {
   }
   if (served) {
     ++stats_.cacheHits;
-    lastTier_ = served->tier;
-    lastSteps_ = served->steps;  // served provenance (see lastCheckSteps)
-    if (!served->complete) {
-      lastBudgetExhausted_ = true;
-      ++stats_.budgetExhausted;
-    }
-    return served->result;
+    last_ = *served;
+    if (!last_.complete) ++stats_.budgetExhausted;
+    return last_.result;
   }
-  const CheckResult r = decide();
-  store_->storeCheck(key, {r, lastTier_, !lastBudgetExhausted_,
-                           lastBudgetExhausted_ ? stepLimit_ : lastSteps_});
-  return r;
+  last_ = decide();
+  store_->storeCheck(key, last_);
+  return last_.result;
 }
 
-CheckResult Solver::decide() {
+VerdictRecord Solver::decide() {
   if (fastMode_ != FastPathMode::Off) {
     FastDecision d = decideFast(atoms_, stack_, fastMode_, hints_);
     if (d.verdict != FastVerdict::Unknown) {
-      lastTier_ = d.tier;
       if (d.tier == 0)
         ++stats_.fastpathTier0;
       else
         ++stats_.fastpathTier1;
-      return d.verdict == FastVerdict::Disjoint ? CheckResult::Unsat
-                                                : CheckResult::Sat;
+      return {d.verdict == FastVerdict::Disjoint ? CheckResult::Unsat
+                                                 : CheckResult::Sat,
+              d.tier, true, 0};
     }
   }
-  lastTier_ = 2;
   budget_.arm(stepLimit_, cancel_);
   try {
-    CheckResult r = solve();
-    lastSteps_ = budget_.used();
-    return r;
+    const CheckResult r = solve();
+    return {r, 2, true, budget_.used()};
   } catch (const StepLimitReached&) {
     // Deterministic cutoff: the step count is a pure function of the
     // conjunction, so the same budget gives up on the same checks at any
     // pool width. Unknown is the safe direction (atomic adjoint).
-    lastSteps_ = budget_.used();
-    lastBudgetExhausted_ = true;
     ++stats_.budgetExhausted;
-    return CheckResult::Unknown;
+    return {CheckResult::Unknown, 2, false, stepLimit_};
   }
-}
-
-std::string Solver::Stats::describe() const {
-  std::string s = "checks " + std::to_string(checks) + " (" +
-                  std::to_string(cacheHits) + " cached, " +
-                  std::to_string(fastpathTier0) + " tier-0, " +
-                  std::to_string(fastpathTier1) + " tier-1, " +
-                  std::to_string(checks - cacheHits - fastpathTier0 -
-                                 fastpathTier1) +
-                  " tier-2), assertions " + std::to_string(assertionsAdded) +
-                  ", reduces " + std::to_string(reduceCalls) + " (" +
-                  std::to_string(reduceMemoHits) + " memoized), models " +
-                  std::to_string(modelsFound) + "/" +
-                  std::to_string(modelSearches);
-  if (budgetExhausted > 0)
-    s += ", budget-exhausted " + std::to_string(budgetExhausted);
-  return s;
 }
 
 CheckResult Solver::solve() {

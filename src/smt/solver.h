@@ -83,10 +83,12 @@ struct FaultInject {
   long long throwAtCheck = 0;
 };
 
-/// A decided verdict plus its provenance: the one record the verdict store
-/// keeps per conjunction, in memory and on disk. `tier` is the decision
-/// tier that produced it (0/1 fast path, 2 full solve), a pure function of
-/// the conjunction and the fast-path mode, so serving it keeps per-tier
+/// A decided verdict plus its provenance: the one record of one solver
+/// check. Solver::lastCheck() exposes it, the verdict store keeps one per
+/// conjunction in memory and on disk, and a task record is the list of
+/// its checks' records in probe order. `tier` is the decision tier that
+/// produced it (0/1 fast path, 2 full solve), a pure function of the
+/// conjunction and the fast-path mode, so serving it keeps per-tier
 /// accounting identical at any pool width.
 ///
 /// Budget provenance: `complete` records whether the verdict finished its
@@ -97,6 +99,8 @@ struct VerdictRecord {
   int tier = 2;
   bool complete = true;
   long long steps = 0;
+
+  friend bool operator==(const VerdictRecord&, const VerdictRecord&) = default;
 
   /// True iff a solver with per-check step budget `stepLimit` (<= 0 =
   /// unlimited) would derive exactly this verdict itself: a complete
@@ -180,14 +184,8 @@ class Solver {
     long long modelSearches = 0;   // model() invocations
     long long modelsFound = 0;     // model() calls that produced a witness
     /// Checks that returned a budget-exhausted Unknown (including ones
-    /// served from a record stored as exhausted, and injected
-    /// faults). Appended to describe() only when nonzero, so default
-    /// (unlimited) runs render byte-identically to the pre-budget format.
+    /// served from a record stored as exhausted, and injected faults).
     long long budgetExhausted = 0;
-
-    /// Stable one-line rendering of the tier breakdown plus the classic
-    /// counters (golden-tested; reports and the CLI print it verbatim).
-    [[nodiscard]] std::string describe() const;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -199,8 +197,8 @@ class Solver {
   [[nodiscard]] FastPathMode fastPathMode() const { return fastMode_; }
 
   /// Per-check deterministic step budget (<= 0 = unlimited, the default).
-  /// A check that runs out returns CheckResult::Unknown with
-  /// lastCheckBudgetExhausted() set — the safe direction (FormAD keeps the
+  /// A check that runs out returns CheckResult::Unknown, and lastCheck()
+  /// records it as incomplete — the safe direction (FormAD keeps the
   /// atomic; the race checker reports the pair undecided). Steps are
   /// counted at fixed points of the decision procedures (pivot
   /// substitutions, congruence merges, HNF column ops, model-search
@@ -229,24 +227,15 @@ class Solver {
   void setAbsintHints(const AbsintHints* hints) { hints_ = hints; }
   [[nodiscard]] const AbsintHints* absintHints() const { return hints_; }
 
-  /// True iff the most recent check() gave up on its step budget (or was
-  /// forced to by fault injection) — its Unknown is a resource verdict,
-  /// not a structural one.
-  [[nodiscard]] bool lastCheckBudgetExhausted() const {
-    return lastBudgetExhausted_;
-  }
-  /// Deterministic step provenance of the most recent check(): the steps a
-  /// fresh solve consumed, or — when the store served it — the provenance
-  /// recorded with the served verdict (so callers persisting budget
-  /// metadata see the same numbers whether the verdict was derived or
-  /// served).
-  [[nodiscard]] long long lastCheckSteps() const { return lastSteps_; }
-
-  /// Decision tier of the most recent check(): 0/1 = fast path, 2 = full
-  /// solve. Served verdicts report the tier stored with them, which is a
-  /// pure function of the conjunction — so per-tier accounting is
-  /// deterministic at any pool width.
-  [[nodiscard]] int lastCheckTier() const { return lastTier_; }
+  /// The record of the most recent check(): the record a decided check
+  /// stored (or would store, without a store attached), the record the
+  /// store served on a hit or join, or {Unknown, tier 2, incomplete, step
+  /// limit} on an injected Unknown. An incomplete record's Unknown is a
+  /// resource verdict, not a structural one. Served records carry the
+  /// tier and provenance stored with them, pure functions of the
+  /// conjunction, so callers see the same record whether the verdict was
+  /// derived or served, at any pool width.
+  [[nodiscard]] const VerdictRecord& lastCheck() const { return last_; }
 
   [[nodiscard]] AtomTable& atoms() { return atoms_; }
 
@@ -282,8 +271,10 @@ class Solver {
 
  private:
   /// check() body when no stored verdict serves: tiered fast path first,
-  /// full solve as the fallback. Records the decision tier in lastTier_.
-  [[nodiscard]] CheckResult decide();
+  /// full solve as the fallback. Returns the record check() stores: a
+  /// fast-path decision needs no steps, a full solve records the steps it
+  /// used, and a solve that runs out records the step limit it ran out at.
+  [[nodiscard]] VerdictRecord decide();
   [[nodiscard]] CheckResult solve();
   /// model() body; runs under the armed step budget (StepLimitReached is
   /// caught by the wrapper and rendered as "no witness found").
@@ -313,13 +304,11 @@ class Solver {
   PersistentVerdictStore* store_ = nullptr;
   std::thread::id owner_{};
   FastPathMode fastMode_ = FastPathMode::Off;
-  int lastTier_ = 2;
   long long stepLimit_ = 0;  // per-check; <= 0 = unlimited
   const support::CancelToken* cancel_ = nullptr;
   FaultInject* fault_ = nullptr;
   const AbsintHints* hints_ = nullptr;
-  bool lastBudgetExhausted_ = false;
-  long long lastSteps_ = 0;
+  VerdictRecord last_;  // see lastCheck()
   StepBudget budget_;  // re-armed per check()/model()
   Stats stats_;
 };

@@ -89,25 +89,6 @@ kernel f(y: real[] inout, x: real[] in, s: real[] in, i: int in) {
 
 // ------------------------------------------- decision-tier reporting
 
-// Golden for Solver::Stats::describe(): the tier breakdown inside the
-// parentheses must partition the checks (tier-2 is the remainder), and the
-// layout is fixed — the CLI's -stats output and the bench logs parse it.
-TEST(Report, SolverStatsDescribeGolden) {
-  smt::Solver::Stats s;
-  s.checks = 12;
-  s.cacheHits = 3;
-  s.fastpathTier0 = 4;
-  s.fastpathTier1 = 2;
-  s.assertionsAdded = 40;
-  s.reduceCalls = 5;
-  s.reduceMemoHits = 2;
-  s.modelSearches = 2;
-  s.modelsFound = 1;
-  EXPECT_EQ(s.describe(),
-            "checks 12 (3 cached, 4 tier-0, 2 tier-1, 3 tier-2), "
-            "assertions 40, reduces 5 (2 memoized), models 1/2");
-}
-
 // describeTiers() renders one line per region and its counts partition the
 // region's query total — the invariant the scheduler's replay maintains.
 TEST(Report, DescribeTiersPartitionsQueries) {

@@ -69,7 +69,7 @@ TEST(FastPathFuzz, SolverVerdictIdenticalAtEveryMode) {
       for (const auto& c : stack) s.add(c);
       EXPECT_EQ(s.check(), truth)
           << "seed " << seed << " diverges at mode " << to_string(mode);
-      EXPECT_LE(s.lastCheckTier(), 2);
+      EXPECT_LE(s.lastCheck().tier, 2);
     }
   }
 }

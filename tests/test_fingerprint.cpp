@@ -252,15 +252,11 @@ TEST(DiskCache, WeakerRecordsNeverOverwriteStrongerOnes) {
   // Task records follow the same policy.
   const std::string tkey = "P|!1*i#0'+-1*i#0+0;|=1*q#0+0";
   const std::string digest(32, 'c');
-  smt::PersistentVerdictStore::TaskRecord full;
-  full.pairSafe = true;
-  full.tiers = {2};
-  full.exhausted = {0};
-  full.steps = {40};
-  smt::PersistentVerdictStore::TaskRecord cut;
-  cut.tiers = {2, 2};
-  cut.exhausted = {1, 1};
-  cut.steps = {5, 5};
+  const smt::PersistentVerdictStore::TaskRecord full{
+      {{smt::CheckResult::Unsat, 2, true, 40}}};
+  const smt::PersistentVerdictStore::TaskRecord cut{
+      {{smt::CheckResult::Unknown, 2, false, 5},
+       {smt::CheckResult::Unknown, 2, false, 5}}};
   second.storeTask(tkey, full, digest);
   smt::PersistentVerdictStore third(dir.path.string());
   EXPECT_FALSE(third.loadTask(tkey, 5, digest).has_value());
@@ -284,19 +280,30 @@ TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
   const std::string key = "P|!1*i#0'+-1*i#0+0;|=1*q#0+0";
   const std::string digest(32, 'a');
 
-  smt::PersistentVerdictStore::TaskRecord rec;
-  rec.pairSafe = true;
-  rec.tiers = {2, 0};
-  rec.exhausted = {0, 0};
-  rec.steps = {40, 1};
+  const smt::PersistentVerdictStore::TaskRecord rec{
+      {{smt::CheckResult::Sat, 2, true, 40},
+       {smt::CheckResult::Unsat, 0, true, 1}}};
   store.storeTask(key, rec, digest);
+
+  // The payload is a `task <n>` line, then each check as the very line a
+  // check file carries.
+  const fs::path file = dir.path / ("t" + digest + ".fvc");
+  auto fileBytes = [&] {
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string header =
+      "formadvc 1 t\nkey " + std::to_string(key.size()) + "\n" + key + "\n";
+  EXPECT_EQ(fileBytes(), header +
+                             "task 2\n"
+                             "verdict sat 2 1 40\n"
+                             "verdict unsat 0 1 1\n"
+                             "ok\n");
 
   auto got = diskLoadTask(dir, key, 0, digest);
   ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->pairSafe);
-  EXPECT_FALSE(got->unsat);
-  EXPECT_EQ(got->tiers, (std::vector<int>{2, 0}));
-  EXPECT_EQ(got->steps, (std::vector<long long>{40, 1}));
+  EXPECT_TRUE(got->proved());
+  EXPECT_EQ(got->checks, rec.checks);
 
   // A different digest looks under a different file name: miss.
   EXPECT_FALSE(diskLoadTask(dir, key, 0, std::string(32, 'b')).has_value());
@@ -306,6 +313,38 @@ TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
   EXPECT_FALSE(diskLoadTask(dir, key + ";", 0, digest).has_value());
   // Budget guard applies to EVERY recorded check.
   EXPECT_FALSE(diskLoadTask(dir, key, 10, digest).has_value());
+
+  // Payloads no probe walk of this format wrote are misses, never a throw:
+  // the previous format's pair and consistency records, a task with no
+  // checks, and an Unsat before the last check.
+  auto overwrite = [&](const std::string& payload) {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out << header << payload << "ok\n";
+  };
+  const char* kPreviousFormat = "task 0 1 1\nc 2 0 40\n";
+  for (const char* payload :
+       {kPreviousFormat, "task 1 0 1\nc 2 0 40\n", "task 0\n",
+        "task 2\nverdict unsat 2 1 40\nverdict unsat 0 1 1\n"}) {
+    SCOPED_TRACE(payload);
+    overwrite(payload);
+    smt::PersistentVerdictStore fresh(dir.path.string());
+    std::optional<smt::PersistentVerdictStore::TaskRecord> miss;
+    EXPECT_NO_THROW(miss = fresh.loadTask(key, 0, digest));
+    EXPECT_FALSE(miss.has_value());
+    EXPECT_EQ(fresh.stats().taskMisses, 1);
+  }
+  // A store that missed on the previous format rewrites the file in this
+  // one.
+  overwrite(kPreviousFormat);
+  {
+    smt::PersistentVerdictStore fresh(dir.path.string());
+    EXPECT_FALSE(fresh.loadTask(key, 0, digest).has_value());
+    fresh.storeTask(key, rec, digest);
+    EXPECT_EQ(fresh.stats().taskStores, 1);
+  }
+  got = diskLoadTask(dir, key, 0, digest);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->checks, rec.checks);
 }
 
 TEST(DiskCache, CorruptAndTruncatedFilesFallThrough) {

@@ -169,7 +169,11 @@ TEST(VerdictStoreBudget, ExhaustedRecordNeverPoisonsLargerBudget) {
   starved.setStepBudget(1);
   addChain(starved, v);
   EXPECT_EQ(starved.check(), smt::CheckResult::Unknown);
-  EXPECT_TRUE(starved.lastCheckBudgetExhausted());
+  // The solver's record of the check is the record the store keeps: tier
+  // 2, incomplete, exhausted at the step limit.
+  const smt::VerdictRecord exhausted{smt::CheckResult::Unknown, 2, false, 1};
+  EXPECT_EQ(starved.lastCheck(), exhausted);
+  EXPECT_EQ(store.loadCheck(starved.stackKey(), 1), exhausted);
   EXPECT_EQ(starved.stats().budgetExhausted, 1);
 
   // Unlimited solver over the same store and conjunction: the exhausted
@@ -178,22 +182,28 @@ TEST(VerdictStoreBudget, ExhaustedRecordNeverPoisonsLargerBudget) {
   full.attachStore(&store);
   addChain(full, v);
   EXPECT_EQ(full.check(), smt::CheckResult::Unsat);
-  EXPECT_FALSE(full.lastCheckBudgetExhausted());
+  EXPECT_TRUE(full.lastCheck().complete);
+  EXPECT_GT(full.lastCheck().steps, 1);
+  EXPECT_EQ(store.loadCheck(full.stackKey(), 0), full.lastCheck());
 
-  // A second starved solver may reuse the exhaustion record, and a second
-  // unlimited solver now hits the upgraded complete verdict — either way
-  // the answers match what each budget would derive on its own.
+  // A second starved solver cannot use the upgraded complete verdict, so
+  // it derives the same exhaustion record, and a second unlimited solver
+  // is served the complete one — either way the answers match what each
+  // budget would derive on its own.
   smt::Solver starved2(atoms);
   starved2.attachStore(&store);
   starved2.setStepBudget(1);
   addChain(starved2, v);
   EXPECT_EQ(starved2.check(), smt::CheckResult::Unknown);
-  EXPECT_TRUE(starved2.lastCheckBudgetExhausted());
+  EXPECT_EQ(starved2.stats().cacheHits, 0);
+  EXPECT_EQ(starved2.lastCheck(), exhausted);
 
   smt::Solver full2(atoms);
   full2.attachStore(&store);
   addChain(full2, v);
   EXPECT_EQ(full2.check(), smt::CheckResult::Unsat);
+  EXPECT_EQ(full2.stats().cacheHits, 1);
+  EXPECT_EQ(full2.lastCheck(), full.lastCheck());
 }
 
 TEST(SolverBudget, OneSolverOverAStoreHonorsTheSameGuard) {
@@ -210,12 +220,18 @@ TEST(SolverBudget, OneSolverOverAStoreHonorsTheSameGuard) {
   s.setStepBudget(1);
   addChain(s, v);
   EXPECT_EQ(s.check(), smt::CheckResult::Unknown);
-  EXPECT_TRUE(s.lastCheckBudgetExhausted());
+  const smt::VerdictRecord exhausted{smt::CheckResult::Unknown, 2, false, 1};
+  EXPECT_EQ(s.lastCheck(), exhausted);
+  EXPECT_EQ(store.loadCheck(s.stackKey(), 1), exhausted);
   s.setStepBudget(0);
   EXPECT_EQ(s.check(), smt::CheckResult::Unsat);
+  const smt::VerdictRecord derived = s.lastCheck();
+  EXPECT_TRUE(derived.complete);
+  EXPECT_EQ(store.loadCheck(s.stackKey(), 0), derived);
   // And the upgraded complete record now serves the unlimited re-check.
   EXPECT_EQ(s.check(), smt::CheckResult::Unsat);
   EXPECT_EQ(s.stats().cacheHits, 1);
+  EXPECT_EQ(s.lastCheck(), derived);
 }
 
 // ---------------------------------------------------------------- WorkPool

@@ -266,17 +266,15 @@ TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
     joined = c.served;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  smt::PersistentVerdictStore::TaskRecord rec;
-  rec.pairSafe = true;
-  rec.tiers = {2, 2};
-  rec.exhausted = {0, 0};
-  rec.steps = {4, 9};
+  const smt::PersistentVerdictStore::TaskRecord rec{
+      {{smt::CheckResult::Sat, 2, true, 4},
+       {smt::CheckResult::Unsat, 2, true, 9}}};
   store.storeTask(key, rec, digest);
 
   joiner.join();
   ASSERT_TRUE(joined.has_value());
-  EXPECT_TRUE(joined->pairSafe);
-  EXPECT_EQ(joined->steps, (std::vector<long long>{4, 9}));
+  EXPECT_TRUE(joined->proved());
+  EXPECT_EQ(joined->checks, rec.checks);
 }
 
 TEST(SingleFlight, DroppedClaimLeavesNoMissBehind) {

@@ -469,7 +469,7 @@ class FastPathTier1Test : public SolverTest {
     }
     EXPECT_EQ(pure.check(), expect);
     EXPECT_EQ(fast.check(), expect);
-    lastFastTier = fast.lastCheckTier();
+    lastFastTier = fast.lastCheck().tier;
     return decideFast(atoms, stack, FastPathMode::Full);
   }
   int lastFastTier = 2;
