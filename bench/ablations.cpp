@@ -88,12 +88,12 @@ int main() {
   }
   {
     core::AnalyzeOptions o;
-    o.exploit.fastpath = smt::FastPathMode::Off;
+    o.exploit.checks.fastpath = smt::FastPathMode::Off;
     variants.push_back({"F1 fastpath-off", o});
   }
   {
     core::AnalyzeOptions o;
-    o.exploit.fastpath = smt::FastPathMode::Syntactic;
+    o.exploit.checks.fastpath = smt::FastPathMode::Syntactic;
     variants.push_back({"F2 fastpath-syntactic", o});
   }
   {
@@ -104,7 +104,7 @@ int main() {
   {
     core::AnalyzeOptions o;
     o.model.absint = true;
-    o.exploit.fastpath = smt::FastPathMode::Off;
+    o.exploit.checks.fastpath = smt::FastPathMode::Off;
     variants.push_back({"AI2 absint-no-fastpath", o});
   }
 

@@ -141,7 +141,7 @@ FastPathPoint fastpathConfig(const std::string& name,
   auto best = [&](smt::FastPathMode mode, double& wall) {
     driver::DriverOptions opts;
     opts.analysisThreads = 1;
-    opts.fastpath = mode;
+    opts.checks.fastpath = mode;
     core::KernelAnalysis a;
     wall = -1;
     for (int rep = 0; rep < reps; ++rep) {

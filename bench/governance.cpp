@@ -63,8 +63,8 @@ SweepPoint runPoint(const ir::Kernel& kernel, const kernels::KernelSpec& spec,
   // without a single counted solver step, which would make every budget
   // point identical. Sweeping with the fast path off measures what the
   // budget actually governs: the full decision procedures.
-  opts.fastpath = smt::FastPathMode::Off;
-  opts.solverStepBudget = budget;
+  opts.checks.fastpath = smt::FastPathMode::Off;
+  opts.checks.stepBudget = budget;
   auto a = driver::analyze(kernel, spec.independents, spec.dependents, opts);
   SweepPoint p;
   p.budget = budget;
@@ -272,8 +272,8 @@ int main(int argc, char** argv) {
     for (long long budget : hybridBudgets) {
       driver::DriverOptions d;
       d.analysisThreads = 1;
-      d.fastpath = smt::FastPathMode::Off;
-      d.solverStepBudget = budget;
+      d.checks.fastpath = smt::FastPathMode::Off;
+      d.checks.stepBudget = budget;
       d.omitTapeFreePrimalSweep = true;
 
       d.mode = driver::AdjointMode::FormAD;
@@ -328,8 +328,8 @@ int main(int argc, char** argv) {
     auto kernel = parser::parseKernel(cfg.spec.source);
     driver::DriverOptions d;
     d.mode = driver::AdjointMode::Hybrid;
-    d.fastpath = smt::FastPathMode::Off;
-    d.solverStepBudget = 1;
+    d.checks.fastpath = smt::FastPathMode::Off;
+    d.checks.stepBudget = 1;
     std::string reference;
     for (int threads : {1, 2, 4, 8}) {
       d.analysisThreads = threads;

@@ -54,8 +54,8 @@ core::KernelAnalysis analyzeWith(const ir::Kernel& kernel,
                                  int threads) {
   driver::DriverOptions opts;
   opts.analysisThreads = threads;
-  opts.fastpath = smt::FastPathMode::Off;
-  opts.verdictStore = store;
+  opts.checks.fastpath = smt::FastPathMode::Off;
+  opts.checks.store = store;
   return driver::analyze(kernel, spec.independents, spec.dependents, opts);
 }
 

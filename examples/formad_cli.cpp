@@ -219,23 +219,23 @@ int main(int argc, char** argv) {
     else if (arg == "-solver-budget") {
       std::string v = next();
       if (v == "unlimited")
-        dopts.solverStepBudget = 0;
+        dopts.checks.stepBudget = 0;
       else
-        dopts.solverStepBudget = parseIntFlag(
+        dopts.checks.stepBudget = parseIntFlag(
             arg, v, 1, INT64_MAX, "a step count >= 1, or 'unlimited'");
     }
     else if (arg == "-cache-dir") cacheDir = next();
     else if (arg == "-cache-stats") cacheStats = true;
     else if (arg == "-deadline-ms") {
-      dopts.analysisDeadlineMs = static_cast<int>(parseIntFlag(
+      dopts.checks.deadlineMs = static_cast<int>(parseIntFlag(
           arg, next(), 0, INT32_MAX, "a millisecond count >= 0; 0 = none"));
     }
     else if (arg == "-fastpath" || arg.rfind("-fastpath=", 0) == 0) {
       std::string v = arg == "-fastpath" ? next() : arg.substr(10);
-      if (v == "off") dopts.fastpath = smt::FastPathMode::Off;
+      if (v == "off") dopts.checks.fastpath = smt::FastPathMode::Off;
       else if (v == "syntactic")
-        dopts.fastpath = smt::FastPathMode::Syntactic;
-      else if (v == "full") dopts.fastpath = smt::FastPathMode::Full;
+        dopts.checks.fastpath = smt::FastPathMode::Syntactic;
+      else if (v == "full") dopts.checks.fastpath = smt::FastPathMode::Full;
       else {
         std::cerr << "bad -fastpath value '" << v
                   << "' (expected off, syntactic, or full)\n";
@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
     if (!cacheDir.empty())
       store = std::make_unique<smt::PersistentVerdictStore>(cacheDir);
 
-    dopts.verdictStore = store.get();
+    dopts.checks.store = store.get();
     if (racecheckOnly) {
       auto report = driver::checkRaces(primal, dopts);
       std::cout << report.describe();

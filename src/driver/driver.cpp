@@ -12,14 +12,15 @@ using namespace ::formad::ir;
 
 namespace {
 
-/// The fault-injection harness a call runs under: DriverOptions::faultInject
-/// when set, else the env-gated one for the CI smoke job —
-/// FORMAD_FAULT_UNKNOWN_AT and FORMAD_FAULT_THROW_AT name the 1-based
-/// ordinal of the solver check (counted process-wide across driver calls)
-/// to force to a budget-exhausted Unknown / a thrown formad::Error.
-/// nullptr when none is configured.
-smt::FaultInject* faultInjectionOf(const DriverOptions& opts) {
-  if (opts.faultInject != nullptr) return opts.faultInject;
+/// The check policy a call runs under — the one place a policy is filled:
+/// DriverOptions::checks, with the env-gated fault harness of the CI smoke
+/// job when it names none. FORMAD_FAULT_UNKNOWN_AT and
+/// FORMAD_FAULT_THROW_AT name the 1-based ordinal of the solver check
+/// (counted process-wide across driver calls) to force to a
+/// budget-exhausted Unknown / a thrown formad::Error.
+smt::CheckPolicy checksOf(const DriverOptions& opts) {
+  smt::CheckPolicy checks = opts.checks;
+  if (checks.faultInject != nullptr) return checks;
   static smt::FaultInject fault;
   static const bool configured = [] {
     if (const char* u = std::getenv("FORMAD_FAULT_UNKNOWN_AT"))
@@ -28,7 +29,8 @@ smt::FaultInject* faultInjectionOf(const DriverOptions& opts) {
       fault.throwAtCheck = std::atoll(t);
     return fault.unknownAtCheck > 0 || fault.throwAtCheck > 0;
   }();
-  return configured ? &fault : nullptr;
+  if (configured) checks.faultInject = &fault;
+  return checks;
 }
 
 /// The analysis pool a call runs on: the caller's pool when set, else a
@@ -104,7 +106,7 @@ DifferentiateResult differentiate(const Kernel& primal,
                                   const DriverOptions& dopts) {
   DifferentiateResult result;
 
-  // One worker pool and one fault harness for the whole analysis phase:
+  // One worker pool and one check policy for the whole analysis phase:
   // the race checker's converse queries and FormAD's exploitation queries
   // share them, so a driver invocation spins threads up at most once and
   // counts injected faults across both. A caller-owned pool (serving
@@ -118,7 +120,7 @@ DifferentiateResult differentiate(const Kernel& primal,
     shared.analysisPool = resolvePool(dopts, ownedPool);
   else if (dopts.analysisPool == nullptr)
     (void)resolveAnalysisThreads(dopts.analysisThreads);
-  shared.faultInject = faultInjectionOf(dopts);
+  shared.checks = checksOf(dopts);
 
   if (dopts.racecheckPrimal) {
     result.raceReport = checkRaces(primal, shared);
@@ -232,15 +234,11 @@ core::KernelAnalysis analyze(const Kernel& primal,
   std::unique_ptr<support::WorkPool> ownedPool;
   core::AnalyzeOptions aopts;
   aopts.exploit.pool = resolvePool(opts, ownedPool);
-  aopts.exploit.fastpath = opts.fastpath;
-  aopts.exploit.solverSteps = opts.solverStepBudget;
-  aopts.exploit.deadlineMs = opts.analysisDeadlineMs;
+  aopts.exploit.checks = checksOf(opts);
   // Hybrid consumes per-(var, access-site) verdicts, so replay must answer
   // every pair instead of taking the per-variable early exit (the serving
   // daemon's "safeguard": "hybrid" request option lands here too).
   aopts.exploit.siteVerdicts = opts.mode == AdjointMode::Hybrid;
-  aopts.exploit.faultInject = faultInjectionOf(opts);
-  aopts.exploit.store = opts.verdictStore;
   aopts.model.absint = opts.absint;
   aopts.model.paramValues = opts.pins;
   return core::analyzeKernel(primal, independents, dependents, aopts);
@@ -253,11 +251,7 @@ racecheck::RaceReport checkRaces(const Kernel& primal,
   ropts.paramValues = opts.pins;
   ropts.colorings = opts.colorings;
   ropts.pool = resolvePool(opts, ownedPool);
-  ropts.fastpath = opts.fastpath;
-  ropts.solverSteps = opts.solverStepBudget;
-  ropts.deadlineMs = opts.analysisDeadlineMs;
-  ropts.faultInject = faultInjectionOf(opts);
-  ropts.store = opts.verdictStore;
+  ropts.checks = checksOf(opts);
   return racecheck::checkKernelRaces(primal, ropts);
 }
 

@@ -51,11 +51,14 @@ struct DriverOptions {
   /// Hybrid, or racecheckPrimal). Any count yields bit-identical analyses,
   /// warnings, and reports — only wall time changes.
   int analysisThreads = 0;
-  /// Analysis-wide fast-path mode, applied to BOTH the FormAD exploitation
-  /// solvers and the race checker's converse queries.
-  /// Fast verdicts are exact: any mode yields bit-identical analyses,
-  /// verdicts, and reports — only wall time and the tier breakdown change.
-  smt::FastPathMode fastpath = smt::FastPathMode::Full;
+  /// The settings every check of the analysis phase runs under, FormAD
+  /// exploitation and the race checker alike (smt::CheckPolicy). Checks
+  /// that run out of budget degrade conservatively (atomic adjoints,
+  /// undecided race pairs) and surface as a warning, never an abort. When
+  /// checks.faultInject is null, the environment variables
+  /// FORMAD_FAULT_UNKNOWN_AT and FORMAD_FAULT_THROW_AT (1-based
+  /// process-wide check ordinals) are consulted instead; both unset = off.
+  smt::CheckPolicy checks;
   /// Run the abstract interpreter (src/absint/) before exploitation and
   /// feed its invariants into the knowledge base and the t1-absint
   /// fast-path decider. Facts are sound and fast verdicts exact, so
@@ -64,31 +67,6 @@ struct DriverOptions {
   /// solver work shift toward cheaper tiers. Off (default) is
   /// byte-identical to the seed analyzer. `pins` reach the interpreter.
   bool absint = false;
-  /// Per-check deterministic solver step budget for the whole analysis
-  /// phase (FormAD exploitation + race checker); <= 0 = unlimited. Checks
-  /// that run out degrade conservatively (atomic adjoints, undecided race
-  /// pairs) and surface as a warning — never an abort. Deterministic:
-  /// budgeted verdicts are byte-identical at any analysisThreads.
-  long long solverStepBudget = 0;
-  /// Per-region analysis wall-clock deadline in milliseconds (<= 0 =
-  /// none). Liveness only: which pairs a deadline stops is
-  /// timing-dependent, so prefer solverStepBudget where reproducible
-  /// reports matter (one knob governs the whole analysis phase).
-  int analysisDeadlineMs = 0;
-  /// Fault-injection harness for the degradation paths (tests / CI smoke
-  /// job). When null, the environment variables FORMAD_FAULT_UNKNOWN_AT
-  /// and FORMAD_FAULT_THROW_AT (1-based process-wide check ordinals) are
-  /// consulted instead; both unset = off.
-  smt::FaultInject* faultInject = nullptr;
-  /// Caller-owned verdict store (nullptr = none: every check is decided
-  /// afresh), shared between FormAD exploitation and the race checker —
-  /// memory-only, or persistent across runs over a directory. Serving is
-  /// verdict-neutral (records carry their full content key plus budget
-  /// provenance), so every report and the generated adjoint are
-  /// byte-identical with or without it — only wall time and the store
-  /// counters change. Ignored while fault injection is active (injected
-  /// verdicts are not pure functions of their query).
-  smt::PersistentVerdictStore* verdictStore = nullptr;
   /// Caller-owned analysis worker pool; wins over analysisThreads when
   /// non-null (lets a long-running process — the serving daemon — reuse
   /// one pool across many driver calls instead of spawning threads per
@@ -161,9 +139,8 @@ struct DifferentiateResult {
 /// Runs the FormAD analysis alone (Table 1 statistics, verdicts) — the only
 /// place DriverOptions become core::AnalyzeOptions. Honors
 /// analysisThreads (default 0 = auto width; reports are byte-identical at
-/// any width), analysisPool, fastpath, absint, solverStepBudget,
-/// analysisDeadlineMs, faultInject, verdictStore and pins (for the
-/// abstract interpreter). `mode == Hybrid` additionally exports per-(var,
+/// any width), analysisPool, checks, absint and pins (for the abstract
+/// interpreter). `mode == Hybrid` additionally exports per-(var,
 /// access-site) verdicts (ExploitOptions::siteVerdicts); every other mode
 /// analyzes classically.
 [[nodiscard]] core::KernelAnalysis analyze(
@@ -172,9 +149,7 @@ struct DifferentiateResult {
 
 /// Runs the static race checker alone — the only place DriverOptions become
 /// racecheck::RaceCheckOptions. Forwards pins and colorings, and applies
-/// the analysis-wide knobs the same way analyze() does: analysisThreads /
-/// analysisPool, fastpath, solverStepBudget, analysisDeadlineMs,
-/// faultInject (else the FORMAD_FAULT_* variables) and verdictStore.
+/// analysisThreads / analysisPool and checks the same way analyze() does.
 /// Reports are byte-identical at any pool width.
 [[nodiscard]] racecheck::RaceReport checkRaces(const ir::Kernel& primal,
                                                const DriverOptions& opts = {});

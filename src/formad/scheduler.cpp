@@ -163,10 +163,8 @@ void QueryScheduler::plan() {
   // Content-addressed task keys for the persistent store: kind tag, the
   // canonical (sorted) base-conjunction key, then the probe keys IN ORDER
   // (the probe walk stops at the first Unsat, so order is semantic).
-  // Derived only when a store is attached — fault injection disables the
-  // store outright, since injected verdicts are not pure functions of the
-  // conjunction and must never be persisted.
-  if (opts_.store != nullptr && opts_.faultInject == nullptr) {
+  // Derived only when a store serves.
+  if (opts_.checks.servingStore() != nullptr) {
     // Canonical (sorted, ';'-joined) base keys, derived INCREMENTALLY over
     // the prefix tree: a node's key is its parent's key with the one new
     // part spliced in at its sorted position — one O(|key|) copy per base
@@ -211,8 +209,8 @@ void QueryScheduler::plan() {
     // the fingerprint and both hash lanes; the defaults leave the seed
     // bytes and digests untouched, so existing stores stay warm.
     std::string modeTag;
-    if (opts_.fastpath != smt::FastPathMode::Full)
-      modeTag = "fastpath:" + smt::to_string(opts_.fastpath) + "|";
+    if (opts_.checks.fastpath != smt::FastPathMode::Full)
+      modeTag = "fastpath:" + smt::to_string(opts_.checks.fastpath) + "|";
     const std::uint64_t salt = model_.hints.salt;
     char saltTag[32] = {0};
     if (salt != 0)
@@ -497,11 +495,8 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   if (pool == nullptr) pool = &inlinePool;
   const int width = pool->width();
 
-  // Fault injection disables persistence entirely: an injected verdict is
-  // not a pure function of its conjunction, so it must neither be served
-  // from nor written to a cross-run store.
-  smt::PersistentVerdictStore* store =
-      opts_.faultInject == nullptr ? opts_.store : nullptr;
+  smt::PersistentVerdictStore* store = opts_.checks.servingStore();
+  const long long stepBudget = opts_.checks.stepBudget;
 
   std::vector<QueryResult> results(tasks_.size());
   long long splicedCount = 0;
@@ -520,8 +515,8 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   };
   auto spliceTask = [&](size_t i) {
     if (store == nullptr) return;
-    auto rec = store->loadTask(tasks_[i].fingerprint, opts_.solverSteps,
-                               tasks_[i].digest);
+    auto rec = store->loadTask(tasks_[i].fingerprint, stepBudget,
+                               tasks_[i].probes.size(), tasks_[i].digest);
     if (!rec) return;
     adoptRecord(i, std::move(*rec));
     ++splicedCount;
@@ -545,7 +540,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
       return;
     }
     auto flight =
-        store->claimTask(tasks_[i].fingerprint, opts_.solverSteps, cancel);
+        store->claimTask(tasks_[i].fingerprint, stepBudget, cancel);
     if (flight.served) {
       adoptRecord(i, std::move(*flight.served));
       joinedCount.fetch_add(1, std::memory_order_relaxed);
@@ -601,12 +596,8 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   std::vector<int> atBase(static_cast<size_t>(width), -1);
   solvers.reserve(static_cast<size_t>(width));
   for (int w = 0; w < width; ++w) {
-    solvers.push_back(std::make_unique<smt::Solver>(*model_.atoms));
-    solvers.back()->attachStore(store);
-    solvers.back()->setFastPathMode(opts_.fastpath);
-    solvers.back()->setStepBudget(opts_.solverSteps);
-    solvers.back()->setCancelToken(cancel);
-    solvers.back()->setFaultInjection(opts_.faultInject);
+    solvers.push_back(
+        std::make_unique<smt::Solver>(*model_.atoms, opts_.checks, cancel));
     solvers.back()->setAbsintHints(&model_.hints);
   }
 

@@ -86,7 +86,7 @@ struct QueryTask {
   std::vector<std::string> probeKeys;
   /// Content-addressed key of the whole task for the persistent store:
   /// kind tag + canonical base-conjunction key + ordered probe keys.
-  /// Empty when no store is attached (never derived).
+  /// Empty when no store serves (never derived).
   std::string fingerprint;
   /// Structural 32-hex file digest handed to the persistent store: kind
   /// tag + the base node's order-independent content sums + the ordered

@@ -124,33 +124,11 @@ class RegionChecker {
         inst_(analysis::computeInstances(loop)),
         privates_(core::privateNames(loop)),
         low_(atoms_, &inst_, privates_, syms_, &pinned_),
-        solver_(atoms_) {
-    solver_.setStepBudget(opts.solverSteps);
-  }
+        cancel_(regionToken(opts, deadline_)),
+        solver_(atoms_, opts.checks, cancel_) {}
 
   RegionRaceReport run() {
     report_.loop = &loop_;
-
-    // Region-level cancellation: an externally owned token wins; otherwise
-    // a configured deadline gets a fresh per-region token, so every region
-    // receives the full deadline.
-    support::CancelToken* cancel = opts_.cancel;
-    support::CancelToken localToken;
-    if (cancel == nullptr && opts_.deadlineMs > 0) {
-      localToken.armDeadline(opts_.deadlineMs);
-      cancel = &localToken;
-    }
-    solver_.setCancelToken(cancel);
-
-    // The verdict store, if any, is shared by every solver that evaluates
-    // converse queries (unless fault injection is on — injected verdicts
-    // are not pure functions of their conjunction): they read check
-    // records earlier runs stored — the same content-addressed records the
-    // exploitation phase uses — and store fresh ones. Serving is
-    // verdict-neutral, so reports stay byte-identical; only wall time
-    // changes.
-    smt::PersistentVerdictStore* store =
-        opts_.faultInject == nullptr ? opts_.store : nullptr;
 
     // Serial front half: lowering, substitution, and pair enumeration all
     // intern atoms and fill memo tables, so they stay on this thread. The
@@ -171,14 +149,9 @@ class RegionChecker {
     const int width = pool->width();
     std::vector<std::unique_ptr<smt::Solver>> solvers;
     std::vector<char> seeded(static_cast<size_t>(width), 0);
-    for (int w = 0; w < width; ++w) {
-      solvers.push_back(std::make_unique<smt::Solver>(atoms_));
-      solvers.back()->attachStore(store);
-      solvers.back()->setFastPathMode(opts_.fastpath);
-      solvers.back()->setStepBudget(opts_.solverSteps);
-      solvers.back()->setCancelToken(cancel);
-      solvers.back()->setFaultInjection(opts_.faultInject);
-    }
+    for (int w = 0; w < width; ++w)
+      solvers.push_back(
+          std::make_unique<smt::Solver>(atoms_, opts_.checks, cancel_));
     pool->run(
         tasks.size(),
         [&](size_t i, int w) {
@@ -199,7 +172,7 @@ class RegionChecker {
             outcomes[i] = PairOutcome{};
           }
         },
-        cancel);
+        cancel_);
 
     // Canonical merge: pair order is the enumeration order, identical at
     // any pool width — as are the witness cap and every counter.
@@ -224,6 +197,11 @@ class RegionChecker {
   std::set<std::string> privates_;
   smt::AtomTable atoms_;
   core::IndexLowering low_;
+  /// Region-level cancellation: an externally owned token wins; otherwise
+  /// a configured deadline arms deadline_, so every region receives the
+  /// full deadline. Armed before any solver is built.
+  support::CancelToken deadline_;
+  support::CancelToken* const cancel_;
   smt::Solver solver_;  // base conjunction only: shared-scalar witnesses
 
   cfg::Cfg cfg_;
@@ -247,6 +225,14 @@ class RegionChecker {
     bool lowered = false;
     std::vector<LinExpr> da, db, diffs;
   };
+
+  static support::CancelToken* regionToken(const RaceCheckOptions& opts,
+                                           support::CancelToken& deadline) {
+    if (opts.cancel != nullptr) return opts.cancel;
+    if (opts.checks.deadlineMs <= 0) return nullptr;
+    deadline.armDeadline(opts.checks.deadlineMs);
+    return &deadline;
+  }
 
   /// Outcome of one converse query — a pure function of its task, so
   /// evaluation order (and hence pool width) cannot affect the merge.

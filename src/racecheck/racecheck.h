@@ -41,17 +41,12 @@
 #include <vector>
 
 #include "ir/kernel.h"
-#include "smt/fastpath.h"
+#include "smt/solver.h"
 #include "support/diagnostics.h"
 
 namespace formad::support {
 class CancelToken;
 class TaskPool;
-}
-
-namespace formad::smt {
-struct FaultInject;
-class PersistentVerdictStore;
 }
 
 namespace formad::racecheck {
@@ -131,36 +126,20 @@ struct RaceCheckOptions {
   /// the same coloring array on different iterations never return the same
   /// value. Pairs discharged by this promise count as pairsAssumed.
   std::set<std::string> colorings;
-  /// Tiered fast-path deciders consulted before the full solver
-  /// (smt/fastpath.h). Fast verdicts are exact: the setting changes speed
-  /// and the tier breakdown only, never any verdict or witness.
-  smt::FastPathMode fastpath = smt::FastPathMode::Full;
   /// Optional externally owned worker pool (shared with the exploitation
   /// scheduler by the driver): per-pair converse queries are evaluated
   /// speculatively across its workers and merged in canonical pair order,
   /// so the report is bit-identical at any pool width. Null runs them on
   /// one inline worker.
   support::TaskPool* pool = nullptr;
-  /// Per-check deterministic solver step budget (<= 0 = unlimited). A
-  /// query that runs out is reported undecided with reason "solver step
-  /// budget exhausted" — never Racy, never RaceFree.
-  long long solverSteps = 0;
-  /// Region wall-clock deadline in milliseconds (<= 0 = none). A liveness
-  /// limit only: pairs the deadline stops degrade to undecided; which
-  /// pairs is timing-dependent (use solverSteps for reproducible limits).
-  int deadlineMs = 0;
+  /// The settings every converse query runs under. A query that runs out
+  /// of budget is reported undecided with reason "solver step budget
+  /// exhausted", never Racy, never RaceFree; a serving store shares its
+  /// check records with FormAD exploitation.
+  smt::CheckPolicy checks;
   /// Optional externally owned cancellation token; when null and
-  /// deadlineMs > 0, each region arms its own.
+  /// checks.deadlineMs > 0, each region arms its own.
   support::CancelToken* cancel = nullptr;
-  /// Deterministic fault-injection harness for tests and the CI smoke job
-  /// (nullptr = off; see smt::FaultInject).
-  smt::FaultInject* faultInject = nullptr;
-  /// Optional verdict store shared with the FormAD exploitation phase (the
-  /// converse queries reuse the same content-addressed check records);
-  /// without one, every query is decided afresh. Verdict-neutral: stored
-  /// records are pure functions of conjunction + budget, so reports stay
-  /// byte-identical. Ignored while faultInject is set.
-  smt::PersistentVerdictStore* store = nullptr;
 };
 
 /// Runs the race checker on every parallel region of `kernel`.

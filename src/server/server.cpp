@@ -78,10 +78,10 @@ driver::DriverOptions driverOptions(const RequestOptions& o,
   // "safeguard": "hybrid" analyzes with per-(var, access-site) verdicts;
   // the report gains site lines, default requests stay byte-identical.
   if (o.hybridSafeguard) d.mode = driver::AdjointMode::Hybrid;
-  d.solverStepBudget = effectiveBudget(o.solverStepBudget,
+  d.checks.stepBudget = effectiveBudget(o.solverStepBudget,
                                        serve.defaultSolverBudget);
-  d.analysisDeadlineMs = effectiveDeadline(o.deadlineMs,
-                                           serve.defaultDeadlineMs);
+  d.checks.deadlineMs = effectiveDeadline(o.deadlineMs,
+                                          serve.defaultDeadlineMs);
   d.pins = o.pins;
   d.colorings = o.colorings;
   if (o.hasFault()) {
@@ -89,15 +89,15 @@ driver::DriverOptions driverOptions(const RequestOptions& o,
     // first check replay reads only when one worker runs the checks.
     fault.unknownAtCheck = o.faultUnknownAt;
     fault.throwAtCheck = o.faultThrowAt;
-    d.faultInject = &fault;
+    d.checks.faultInject = &fault;
   } else {
     // Every other request runs on the shared pool (null when the daemon
     // itself is serial, which runs inline too).
     d.analysisPool = pool;
   }
-  // The scheduler and the race checker drop the store while fault
-  // injection is active, keeping injected verdicts out of the shared store.
-  d.verdictStore = store;
+  // CheckPolicy::servingStore drops the store while fault injection is
+  // active, keeping injected verdicts out of the shared store.
+  d.checks.store = store;
   return d;
 }
 

@@ -29,8 +29,8 @@
 // Governance: per-request solver budgets, deadlines, and fault injection
 // ride through to the driver, so one pathological kernel degrades its own
 // response and nothing else; budget-starved or injected verdicts can
-// never poison the shared store (budget provenance guards, and the
-// scheduler and race checker drop the store under fault injection).
+// never poison the shared store (budget provenance guards, and
+// smt::CheckPolicy::servingStore drops the store under fault injection).
 #pragma once
 
 #include <atomic>

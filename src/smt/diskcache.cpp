@@ -113,28 +113,31 @@ bool parseCheck(const std::string& line, VerdictRecord& e) {
   return true;
 }
 
-bool parse(const std::vector<std::string>& payload, VerdictRecord& e) {
+bool parse(const std::vector<std::string>& payload, VerdictRecord& e,
+           size_t /*probes*/) {
   return payload.size() == 1 && parseCheck(payload[0], e);
 }
 
+/// A walk over `probes` probes checks each in turn (a consistency task,
+/// with none, checks once) and stops at the first Unsat: any other check
+/// list marks a payload no walk of this task wrote.
 bool parse(const std::vector<std::string>& payload,
-           PersistentVerdictStore::TaskRecord& rec) {
+           PersistentVerdictStore::TaskRecord& rec, size_t probes) {
   if (payload.empty()) return false;
   std::istringstream head(payload[0]);
   std::string tag;
   size_t n = 0;
-  if (!(head >> tag >> n) || tag != "task" || n == 0 ||
+  const size_t walk = std::max<size_t>(probes, 1);
+  if (!(head >> tag >> n) || tag != "task" || n == 0 || n > walk ||
       payload.size() != n + 1)
     return false;
   rec.checks.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    // The probe walk stops at the first Unsat: one before the last check
-    // marks a payload no walk wrote.
     if (!parseCheck(payload[i + 1], rec.checks[i]) ||
         (i + 1 < n && rec.checks[i].result == CheckResult::Unsat))
       return false;
   }
-  return true;
+  return n == walk || rec.proved();
 }
 
 }  // namespace
@@ -215,6 +218,7 @@ template <class Rec>
 std::optional<Rec> PersistentVerdictStore::load(Layer<Rec>& layer,
                                                 const std::string& key,
                                                 long long stepLimit,
+                                                size_t probes,
                                                 const std::string* digest) {
   auto& shard = layer.shardFor(key);
   {
@@ -234,7 +238,7 @@ std::optional<Rec> PersistentVerdictStore::load(Layer<Rec>& layer,
   if (!dir_.empty()) {
     Rec rec;
     auto payload = readRecord(layer.kind, key, digest);
-    if (payload && parse(*payload, rec)) {
+    if (payload && parse(*payload, rec, probes)) {
       {
         std::lock_guard<std::mutex> lk(shard.mu);
         keepStronger(shard.map[key].rec, rec);
@@ -273,7 +277,7 @@ void PersistentVerdictStore::publish(Layer<Rec>& layer,
 
 std::optional<VerdictRecord> PersistentVerdictStore::loadCheck(
     const std::string& key, long long stepLimit) {
-  return load(checks_, key, stepLimit, nullptr);
+  return load(checks_, key, stepLimit, 1, nullptr);
 }
 
 void PersistentVerdictStore::storeCheck(const std::string& key,
@@ -283,8 +287,8 @@ void PersistentVerdictStore::storeCheck(const std::string& key,
 
 std::optional<PersistentVerdictStore::TaskRecord>
 PersistentVerdictStore::loadTask(const std::string& key, long long stepLimit,
-                                 const std::string& digest) {
-  return load(tasks_, key, stepLimit, &digest);
+                                 size_t probes, const std::string& digest) {
+  return load(tasks_, key, stepLimit, probes, &digest);
 }
 
 void PersistentVerdictStore::storeTask(const std::string& key,

@@ -7,8 +7,9 @@
 // same entry:
 //
 //   - check records: one VerdictRecord (verdict, decision tier, budget
-//     provenance) per conjunction fingerprint. A Solver with the store
-//     attached loads, claims, decides and stores through them.
+//     provenance) per conjunction fingerprint. A Solver built over the
+//     store (CheckPolicy::servingStore) loads, claims, decides and stores
+//     through them.
 //   - task records: the outcome of one scheduler QueryTask (consistency
 //     probe or pair-probe sequence) as the VerdictRecords of its checks in
 //     probe order, keyed by base-conjunction fingerprint plus the ordered
@@ -79,7 +80,8 @@ class PersistentVerdictStore {
   /// Outcome of one persisted scheduler task: the record of each check it
   /// performed, in probe order. The probe walk stops at the first Unsat,
   /// so only the last check can be Unsat; a payload read from disk that
-  /// breaks this, or holds no check, is malformed and costs a miss.
+  /// breaks this, holds no check, or breaks loadTask's probe-count bound
+  /// is malformed and costs a miss.
   struct TaskRecord {
     std::vector<VerdictRecord> checks;
 
@@ -100,16 +102,22 @@ class PersistentVerdictStore {
   /// Loads the task record stored under `key`; same guard as loadCheck,
   /// applied to EVERY recorded check (the replayed probe walk matches what
   /// re-derivation under `stepLimit` would produce only if each recorded
-  /// verdict does). `digest` names the file: the caller supplies any
-  /// 32-hex digest that is a pure function of task content and uses the
-  /// same derivation for store and load (the scheduler accumulates its
-  /// structural digest in O(1) along the base prefix tree — see
-  /// QueryTask::digest — so the multi-KB key is never re-walked here).
+  /// verdict does). `probes` is the task's probe count, which bounds what
+  /// its walk can record: max(probes, 1) checks, or fewer that end in the
+  /// Unsat that stopped the walk. A payload read from disk that breaks
+  /// the bound is malformed and costs a miss, so memory never holds one
+  /// and no claim can serve one. `digest` names the file: the caller
+  /// supplies any 32-hex digest that is a pure function of task content
+  /// and uses the same derivation for store and load (the scheduler
+  /// accumulates its structural digest in O(1) along the base prefix tree
+  /// — see QueryTask::digest — so the multi-KB key is never re-walked
+  /// here).
   /// Correctness never depends on the naming scheme: the full key is
   /// verified byte-for-byte on every load, so a digest collision costs a
   /// miss, never a wrong verdict.
   [[nodiscard]] std::optional<TaskRecord> loadTask(const std::string& key,
                                                    long long stepLimit,
+                                                   size_t probes,
                                                    const std::string& digest);
   void storeTask(const std::string& key, const TaskRecord& rec,
                  const std::string& digest);
@@ -246,11 +254,12 @@ class PersistentVerdictStore {
 
   // The record-kind-generic bodies of the public loads, stores and claims.
   // `digest` names the file: caller-supplied for task records, nullptr
-  // (contentDigest(key)) for check records.
+  // (contentDigest(key)) for check records. `probes` bounds a task
+  // record's checks (see loadTask); check records ignore it.
   template <class Rec>
   [[nodiscard]] std::optional<Rec> load(Layer<Rec>& layer,
                                         const std::string& key,
-                                        long long stepLimit,
+                                        long long stepLimit, size_t probes,
                                         const std::string* digest);
   template <class Rec>
   void publish(Layer<Rec>& layer, const std::string& key, const Rec& rec,

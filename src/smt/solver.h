@@ -69,8 +69,8 @@ struct Constraint {
 using Model = std::map<AtomId, long long>;
 
 /// Deterministic fault-injection harness for the degradation paths (tests
-/// and the CI smoke job). Counts every check() across all solvers it is
-/// attached to and forces the Nth one (1-based) to either report a
+/// and the CI smoke job). Counts every check() across all solvers built
+/// with it and forces the Nth one (1-based) to either report a
 /// budget-exhausted Unknown or to throw formad::Error — proving that a
 /// solver giving up (or dying) degrades to atomic adjoints instead of
 /// hanging or corrupting the analysis. 0 disables a trigger. The counter
@@ -81,6 +81,51 @@ struct FaultInject {
   std::atomic<long long> checksSeen{0};
   long long unknownAtCheck = 0;
   long long throwAtCheck = 0;
+};
+
+/// The five settings that govern every check of an analysis, declared
+/// once: DriverOptions, core::ExploitOptions and
+/// racecheck::RaceCheckOptions each carry one as `checks`, the driver
+/// copies it whole into both analyses, and every analysis solver is built
+/// from it (the Solver policy constructor).
+struct CheckPolicy {
+  /// Tiered fast-path deciders consulted before the full solve
+  /// (smt/fastpath.h). Fast verdicts are exact: any mode yields
+  /// bit-identical analyses, verdicts and reports; only wall time and the
+  /// tier breakdown change.
+  FastPathMode fastpath = FastPathMode::Full;
+  /// Per-check deterministic step budget (<= 0 = unlimited). A check that
+  /// runs out returns a budget-exhausted Unknown, the safe direction:
+  /// FormAD keeps the atomic adjoint, the race checker reports the pair
+  /// undecided, and the driver warns instead of aborting. Steps are
+  /// counted at fixed points of the decision procedures (pivot
+  /// substitutions, congruence merges, HNF column ops, model-search
+  /// candidates), never timed, so budgeted verdicts are byte-identical at
+  /// any pool width.
+  long long stepBudget = 0;
+  /// Per-region wall-clock deadline in milliseconds (<= 0 = none).
+  /// Liveness only: the pairs it stops degrade conservatively, and which
+  /// pairs those are is timing-dependent, so prefer stepBudget where
+  /// reproducible reports matter.
+  int deadlineMs = 0;
+  /// Fault-injection harness for the degradation paths (nullptr = off;
+  /// see FaultInject).
+  FaultInject* faultInject = nullptr;
+  /// Caller-owned verdict store (nullptr = none: every check is decided
+  /// afresh), shared by every solver and scheduler of both analyses;
+  /// memory-only, or persistent across runs over a directory. Serving is
+  /// verdict-neutral (records carry their full content key plus budget
+  /// provenance), so every report and adjoint is byte-identical with or
+  /// without it; only wall time and the store counters change.
+  PersistentVerdictStore* store = nullptr;
+
+  /// The store checks and task records are served from and written to:
+  /// `store`, or nullptr while fault injection is on. An injected verdict
+  /// is not a pure function of its conjunction, so it must neither be
+  /// persisted nor mixed with persisted truth.
+  [[nodiscard]] PersistentVerdictStore* servingStore() const {
+    return faultInject == nullptr ? store : nullptr;
+  }
 };
 
 /// A decided verdict plus its provenance: the one record of one solver
@@ -128,7 +173,25 @@ struct VerdictRecord {
 
 class Solver {
  public:
-  explicit Solver(AtomTable& atoms) : atoms_(atoms) {}
+  /// The pure-SMT baseline: fast path off, no step budget, no store, no
+  /// fault harness, no cancellation token.
+  explicit Solver(AtomTable& atoms)
+      : Solver(atoms, {.fastpath = FastPathMode::Off}, nullptr) {}
+  /// An analysis solver, governed by `checks` for its whole life: it
+  /// caches through checks.servingStore(), decides under the fast-path
+  /// mode and step budget, and counts its checks into the fault harness.
+  /// `cancel` (nullptr = none) is polled every few hundred steps while
+  /// solving; a fired token unwinds the in-flight check as
+  /// support::Cancelled, a liveness mechanism only, never a verdict (see
+  /// support/cancel.h). The deadline is the caller's to arm on `cancel`.
+  Solver(AtomTable& atoms, const CheckPolicy& checks,
+         const support::CancelToken* cancel)
+      : atoms_(atoms),
+        store_(checks.servingStore()),
+        fastMode_(checks.fastpath),
+        stepLimit_(checks.stepBudget),
+        cancel_(cancel),
+        fault_(checks.faultInject) {}
 
   void add(Constraint c);
   /// add() with the constraint's content key already derived by the
@@ -141,12 +204,14 @@ class Solver {
   /// the assertion stack silently).
   void pop();
 
-  /// Decides the current conjunction. With a verdict store attached
-  /// (attachStore), the canonical stack key is looked up first, then
-  /// claimed so concurrent duplicates join one solve, then decided and
-  /// stored; without one, every check is decided afresh and no key is
-  /// built. Within one solve, each Ne constraint is reduced against the
-  /// equality system once and the residue reused by every later pass.
+  /// Decides the current conjunction. With a serving store (see
+  /// CheckPolicy::servingStore), the canonical stack key is looked up
+  /// first, then claimed so concurrent duplicates join one solve, then
+  /// decided and stored; without one, every check is decided afresh and
+  /// no key is built. A check that runs out of its step budget returns
+  /// Unknown, and lastCheck() records it as incomplete. Within one solve,
+  /// each Ne constraint is reduced against the equality system once and
+  /// the residue reused by every later pass.
   [[nodiscard]] CheckResult check();
 
   /// Attempts to build a concrete integer model of the current conjunction
@@ -189,35 +254,6 @@ class Solver {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Selects the tiered fast path consulted by check() before the full
-  /// solve. Defaults to Off: a raw Solver is the pure-SMT baseline, and
-  /// the analysis layers opt in explicitly (every fast-path verdict is
-  /// exact, so only speed — never any verdict — depends on the mode).
-  void setFastPathMode(FastPathMode m) { fastMode_ = m; }
-  [[nodiscard]] FastPathMode fastPathMode() const { return fastMode_; }
-
-  /// Per-check deterministic step budget (<= 0 = unlimited, the default).
-  /// A check that runs out returns CheckResult::Unknown, and lastCheck()
-  /// records it as incomplete — the safe direction (FormAD keeps the
-  /// atomic; the race checker reports the pair undecided). Steps are
-  /// counted at fixed points of the decision procedures (pivot
-  /// substitutions, congruence merges, HNF column ops, model-search
-  /// candidates), so the verdict under a given budget is a pure function
-  /// of the conjunction: byte-identical at any thread count. Survives
-  /// reset(), like the store attachment.
-  void setStepBudget(long long stepsPerCheck) { stepLimit_ = stepsPerCheck; }
-  [[nodiscard]] long long stepBudget() const { return stepLimit_; }
-
-  /// Attaches a cooperative cancellation token, polled every few hundred
-  /// steps while solving. A fired token unwinds the in-flight check as
-  /// support::Cancelled — a liveness mechanism only, never a verdict (see
-  /// support/cancel.h). Pass nullptr to detach. Survives reset().
-  void setCancelToken(const support::CancelToken* t) { cancel_ = t; }
-
-  /// Attaches the shared fault-injection harness (nullptr = off).
-  /// Survives reset().
-  void setFaultInjection(FaultInject* f) { fault_ = f; }
-
   /// Attaches the abstract interpreter's per-variable facts (nullptr =
   /// off, the default). While attached with a nonzero salt, the tiered
   /// fast path additionally runs the "t1-absint" witness decider, and
@@ -237,18 +273,9 @@ class Solver {
   /// derived or served, at any pool width.
   [[nodiscard]] const VerdictRecord& lastCheck() const { return last_; }
 
-  [[nodiscard]] AtomTable& atoms() { return atoms_; }
-
-  /// Attaches the verdict store check() caches through (nullptr = none,
-  /// the default: every check is decided). Keys are content fingerprints,
-  /// so any number of solvers — over any atom tables, in any process
-  /// sharing the store's directory — may share one store. Survives
-  /// reset().
-  void attachStore(PersistentVerdictStore* store) { store_ = store; }
-
   /// Clears the assertion stack, open scopes, and the thread binding (so
   /// the solver may be adopted by another worker for the next task batch).
-  /// Stats and store attachment survive.
+  /// Stats and the policy survive.
   void reset();
 
   /// Canonical CONTENT fingerprint of one constraint (smt/fingerprint.h) —
@@ -301,12 +328,12 @@ class Solver {
   /// at the recorded index undoes it.
   std::vector<size_t> keySlots_;
   std::vector<size_t> marks_;
-  PersistentVerdictStore* store_ = nullptr;
+  PersistentVerdictStore* const store_;
   std::thread::id owner_{};
-  FastPathMode fastMode_ = FastPathMode::Off;
-  long long stepLimit_ = 0;  // per-check; <= 0 = unlimited
-  const support::CancelToken* cancel_ = nullptr;
-  FaultInject* fault_ = nullptr;
+  const FastPathMode fastMode_;
+  const long long stepLimit_;  // per-check; <= 0 = unlimited
+  const support::CancelToken* const cancel_;
+  FaultInject* const fault_;
   const AbsintHints* hints_ = nullptr;
   VerdictRecord last_;  // see lastCheck()
   StepBudget budget_;  // re-armed per check()/model()

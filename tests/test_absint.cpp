@@ -670,8 +670,8 @@ TEST(AbsintAnalysis, StoreNeverCrossPollinatesAbsintModes) {
   TempDir dir("store");
   smt::PersistentVerdictStore store(dir.path.string());
   driver::DriverOptions offStored = offPlain, onStored = onPlain;
-  offStored.verdictStore = &store;
-  onStored.verdictStore = &store;
+  offStored.checks.store = &store;
+  onStored.checks.store = &store;
 
   // off cold -> on warm over the same store, then the reverse order.
   EXPECT_EQ(report(offStored), wantOff);

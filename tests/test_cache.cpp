@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -72,7 +76,7 @@ TEST(PersistentCache, EditReplayFuzzer) {
     TempDir dir("fuzz");
     smt::PersistentVerdictStore store(dir.path.string());
     driver::DriverOptions withStore;
-    withStore.verdictStore = &store;
+    withStore.checks.store = &store;
 
     (void)analyzeSource(cold, h.spec.independents, h.spec.dependents,
                         withStore);
@@ -99,8 +103,8 @@ TEST(PersistentCache, BudgetStarvedEntriesNeverPoisonUnlimitedRuns) {
   smt::PersistentVerdictStore store(dir.path.string());
 
   driver::DriverOptions starved;
-  starved.verdictStore = &store;
-  starved.solverStepBudget = 2;
+  starved.checks.store = &store;
+  starved.checks.stepBudget = 2;
   (void)analyzeSource(spec.source, spec.independents, spec.dependents,
                       starved);
 
@@ -109,7 +113,7 @@ TEST(PersistentCache, BudgetStarvedEntriesNeverPoisonUnlimitedRuns) {
       analyzeSource(spec.source, spec.independents, spec.dependents, plain));
 
   driver::DriverOptions unlimited;
-  unlimited.verdictStore = &store;
+  unlimited.checks.store = &store;
   const auto warm = analyzeSource(spec.source, spec.independents,
                                   spec.dependents, unlimited);
   EXPECT_EQ(reportOf(warm), want);
@@ -137,7 +141,7 @@ void expectWarmRunDoesZeroFreshWork(const kernels::KernelSpec& spec,
   smt::PersistentVerdictStore store(dir.path.string());
 
   driver::DriverOptions opts;
-  opts.verdictStore = &store;
+  opts.checks.store = &store;
   opts.analysisThreads = threads;
   const auto cold = analyzeSource(spec.source, spec.independents,
                                   spec.dependents, opts);
@@ -196,9 +200,9 @@ TEST(PersistentCache, FastPathModesNeverShareRecords) {
         smt::FastPathMode::Full}) {
     SCOPED_TRACE(smt::to_string(mode));
     driver::DriverOptions plain;
-    plain.fastpath = mode;
+    plain.checks.fastpath = mode;
     driver::DriverOptions withStore = plain;
-    withStore.verdictStore = &store;
+    withStore.checks.store = &store;
     EXPECT_EQ(reportOf(analyzeSource(spec.source, spec.independents,
                                      spec.dependents, withStore)),
               reportOf(analyzeSource(spec.source, spec.independents,
@@ -207,7 +211,7 @@ TEST(PersistentCache, FastPathModesNeverShareRecords) {
 
   smt::PersistentVerdictStore reopened(dir.path.string());
   driver::DriverOptions warmOpts;
-  warmOpts.verdictStore = &reopened;
+  warmOpts.checks.store = &reopened;
   const auto warm = analyzeSource(spec.source, spec.independents,
                                   spec.dependents, warmOpts);
   EXPECT_EQ(reportOf(warm),
@@ -227,9 +231,9 @@ TEST(PersistentCache, StarvedRunNeverDowngradesStoredRecords) {
     TempDir dir("downgrade");
     smt::PersistentVerdictStore store(dir.path.string());
     driver::DriverOptions unlimited;
-    unlimited.verdictStore = &store;
+    unlimited.checks.store = &store;
     driver::DriverOptions starved = unlimited;
-    starved.solverStepBudget = 2;
+    starved.checks.stepBudget = 2;
     const auto cold = analyzeSource(spec.source, spec.independents,
                                     spec.dependents, unlimited);
     EXPECT_GT(cold.analysis.tasksPersisted(), 0);
@@ -237,12 +241,103 @@ TEST(PersistentCache, StarvedRunNeverDowngradesStoredRecords) {
                         starved);
 
     smt::PersistentVerdictStore reopened(dir.path.string());
-    if (reopen) unlimited.verdictStore = &reopened;
+    if (reopen) unlimited.checks.store = &reopened;
     const auto warm = analyzeSource(spec.source, spec.independents,
                                     spec.dependents, unlimited);
     EXPECT_EQ(reportOf(warm), reportOf(cold));
     EXPECT_EQ(warm.analysis.freshSolverChecks(), 0);
     EXPECT_EQ(warm.analysis.tasksPersisted(), 0);
+  }
+}
+
+// A task record holds at most one check per probe of its task (one for a
+// consistency task), and fewer only when they end in the Unsat that
+// stopped its walk. Task files under valid keys that break this — the
+// gather7 pair task claiming 2000 checks, its consistency task claiming
+// two, its two-probe pair task cut to one Sat — each cost a miss at widths
+// 1 and 4: the report matches a store-free run, and the run rewrites every
+// tampered file as the cold run wrote it.
+TEST(PersistentCache, TamperedTaskRecordsCostAMiss) {
+  const std::string gather7 =
+      "kernel gather7(n: int in, c: int[] in, x: real[] in, "
+      "y: real[] inout) {\n"
+      "  parallel for i = 0 : n - 1 { y[c[i]] = x[c[i] + 7]; }\n"
+      "}\n";
+  const std::vector<std::string> ind{"x"}, dep{"y"};
+  driver::DriverOptions plain;
+  plain.analysisThreads = 1;
+  const std::string want = reportOf(analyzeSource(gather7, ind, dep, plain));
+
+  TempDir dir("tamper");
+  {
+    smt::PersistentVerdictStore store(dir.path.string());
+    driver::DriverOptions cold = plain;
+    cold.checks.store = &store;
+    (void)analyzeSource(gather7, ind, dep, cold);
+  }
+  // Each task file as the cold run wrote it: its header (magic, key length,
+  // key) and its payload. A key is the kind tag ("C|" or "P|"), the base
+  // conjunction, then '|' and each probe.
+  struct TaskFile {
+    fs::path path;
+    std::string header, payload;
+    char kind = 0;
+    long probes = 0;
+  };
+  std::vector<TaskFile> files;
+  for (const auto& e : fs::directory_iterator(dir.path)) {
+    if (e.path().filename().string()[0] != 't') continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    const std::string bytes(std::istreambuf_iterator<char>(in), {});
+    const size_t keyAt = bytes.find('\n', bytes.find('\n') + 1) + 1;
+    const size_t end = bytes.find('\n', keyAt) + 1;
+    const std::string key = bytes.substr(keyAt, end - 1 - keyAt);
+    files.push_back({e.path(), bytes.substr(0, end), bytes.substr(end),
+                     key[0], std::count(key.begin(), key.end(), '|') - 1});
+  }
+
+  std::string longWalk = "task 2000\n";
+  for (int k = 0; k < 1999; ++k) longWalk += "verdict sat 1 1 0\n";
+  longWalk += "verdict unsat 1 1 0\n";
+  struct Tamper {
+    const char* name;
+    std::function<bool(const TaskFile&)> applies;
+    std::string payload;
+  };
+  const std::vector<Tamper> tampers = {
+      {"pair task claims 2000 checks",
+       [](const TaskFile& f) { return f.kind == 'P'; }, longWalk},
+      {"consistency task claims two checks",
+       [](const TaskFile& f) { return f.kind == 'C'; },
+       "task 2\nverdict sat 1 1 0\nverdict sat 1 1 0\n"},
+      {"two-probe pair task cut to one Sat",
+       [](const TaskFile& f) { return f.kind == 'P' && f.probes == 2; },
+       "task 1\nverdict sat 1 1 0\n"},
+  };
+  for (const Tamper& t : tampers) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(t.name) + " at " + std::to_string(threads) +
+                   " threads");
+      long long tampered = 0;
+      for (const TaskFile& f : files) {
+        if (!t.applies(f)) continue;
+        std::ofstream(f.path, std::ios::binary | std::ios::trunc)
+            << f.header << t.payload << "ok\n";
+        ++tampered;
+      }
+      ASSERT_GT(tampered, 0);
+      smt::PersistentVerdictStore store(dir.path.string());
+      driver::DriverOptions warm = plain;
+      warm.analysisThreads = threads;
+      warm.checks.store = &store;
+      EXPECT_EQ(reportOf(analyzeSource(gather7, ind, dep, warm)), want);
+      EXPECT_EQ(store.stats().taskStores, tampered);
+      for (const TaskFile& f : files) {
+        std::ifstream in(f.path, std::ios::binary);
+        EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+                  f.header + f.payload);
+      }
+    }
   }
 }
 
@@ -259,7 +354,7 @@ TEST(PersistentCache, NoStoreLeavesAnalysisUntouched) {
   TempDir dir("nostore");
   smt::PersistentVerdictStore store(dir.path.string());
   driver::DriverOptions withStore;
-  withStore.verdictStore = &store;
+  withStore.checks.store = &store;
   const auto b = analyzeSource(spec.source, spec.independents,
                                spec.dependents, withStore);
   EXPECT_EQ(reportOf(a), reportOf(b));

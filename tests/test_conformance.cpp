@@ -55,7 +55,7 @@ Transcript runDriver(const kernels::KernelSpec& spec, int analysisThreads,
   dopts.mode = AdjointMode::FormAD;
   dopts.racecheckPrimal = true;
   dopts.analysisThreads = analysisThreads;
-  dopts.fastpath = fastpath;
+  dopts.checks.fastpath = fastpath;
   dopts.absint = absint;
   try {
     auto dr = driver::differentiate(*primal, spec.independents,
@@ -201,7 +201,7 @@ TEST(Conformance, SharedPairKernelIsWidthAndStoreInvariant) {
       dopts.mode = mode;
       dopts.racecheckPrimal = true;
       dopts.analysisThreads = threads;
-      dopts.verdictStore = store;
+      dopts.checks.store = store;
       auto dr = driver::differentiate(*primal, spec.independents,
                                       spec.dependents, dopts);
       std::string t = core::describe(dr.analysis, /*includeTiming=*/false) +

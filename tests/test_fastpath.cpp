@@ -64,8 +64,7 @@ TEST(FastPathFuzz, SolverVerdictIdenticalAtEveryMode) {
     const CheckResult truth = reference.check();
 
     for (FastPathMode mode : {FastPathMode::Syntactic, FastPathMode::Full}) {
-      Solver s(atoms);
-      s.setFastPathMode(mode);
+      Solver s(atoms, {.fastpath = mode}, nullptr);
       for (const auto& c : stack) s.add(c);
       EXPECT_EQ(s.check(), truth)
           << "seed " << seed << " diverges at mode " << to_string(mode);

@@ -189,11 +189,12 @@ std::optional<smt::VerdictRecord> diskLoadCheck(const TempDir& dir,
   return fresh.loadCheck(key, stepLimit);
 }
 
+/// Loads a task record of a two-probe task.
 std::optional<smt::PersistentVerdictStore::TaskRecord> diskLoadTask(
     const TempDir& dir, const std::string& key, long long stepLimit,
     const std::string& digest) {
   smt::PersistentVerdictStore fresh(dir.path.string());
-  return fresh.loadTask(key, stepLimit, digest);
+  return fresh.loadTask(key, stepLimit, 2, digest);
 }
 
 TEST(DiskCache, CheckRecordRoundtripAndBudgetGuard) {
@@ -259,7 +260,7 @@ TEST(DiskCache, WeakerRecordsNeverOverwriteStrongerOnes) {
        {smt::CheckResult::Unknown, 2, false, 5}}};
   second.storeTask(tkey, full, digest);
   smt::PersistentVerdictStore third(dir.path.string());
-  EXPECT_FALSE(third.loadTask(tkey, 5, digest).has_value());
+  EXPECT_FALSE(third.loadTask(tkey, 5, 2, digest).has_value());
   third.storeTask(tkey, cut, digest);
   EXPECT_EQ(third.stats().taskStores, 0);
   EXPECT_TRUE(diskLoadTask(dir, tkey, 0, digest).has_value());
@@ -314,37 +315,52 @@ TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
   // Budget guard applies to EVERY recorded check.
   EXPECT_FALSE(diskLoadTask(dir, key, 10, digest).has_value());
 
-  // Payloads no probe walk of this format wrote are misses, never a throw:
-  // the previous format's pair and consistency records, a task with no
-  // checks, and an Unsat before the last check.
+  // Payloads no probe walk of this two-probe task wrote are misses, never
+  // a throw: the previous format's pair and consistency records, a task
+  // with no checks, an Unsat before the last check, more checks than the
+  // task has probes, and fewer checks without the Unsat that stops a walk.
   auto overwrite = [&](const std::string& payload) {
     std::ofstream out(file, std::ios::binary | std::ios::trunc);
     out << header << payload << "ok\n";
   };
   const char* kPreviousFormat = "task 0 1 1\nc 2 0 40\n";
+  const char* kTooMany =
+      "task 3\nverdict sat 2 1 40\nverdict sat 2 1 40\n"
+      "verdict unsat 0 1 1\n";
+  const char* kCutShort = "task 1\nverdict sat 2 1 40\n";
   for (const char* payload :
        {kPreviousFormat, "task 1 0 1\nc 2 0 40\n", "task 0\n",
-        "task 2\nverdict unsat 2 1 40\nverdict unsat 0 1 1\n"}) {
+        "task 2\nverdict unsat 2 1 40\nverdict unsat 0 1 1\n", kTooMany,
+        kCutShort}) {
     SCOPED_TRACE(payload);
     overwrite(payload);
     smt::PersistentVerdictStore fresh(dir.path.string());
     std::optional<smt::PersistentVerdictStore::TaskRecord> miss;
-    EXPECT_NO_THROW(miss = fresh.loadTask(key, 0, digest));
+    EXPECT_NO_THROW(miss = fresh.loadTask(key, 0, 2, digest));
     EXPECT_FALSE(miss.has_value());
     EXPECT_EQ(fresh.stats().taskMisses, 1);
   }
-  // A store that missed on the previous format rewrites the file in this
-  // one.
-  overwrite(kPreviousFormat);
+  // A one-probe task may record its one check, so the bound is the
+  // caller's probe count: the cut payload is whole for such a task.
+  overwrite(kCutShort);
   {
     smt::PersistentVerdictStore fresh(dir.path.string());
-    EXPECT_FALSE(fresh.loadTask(key, 0, digest).has_value());
-    fresh.storeTask(key, rec, digest);
-    EXPECT_EQ(fresh.stats().taskStores, 1);
+    EXPECT_TRUE(fresh.loadTask(key, 0, 1, digest).has_value());
   }
-  got = diskLoadTask(dir, key, 0, digest);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->checks, rec.checks);
+  // A store that missed on a malformed payload rewrites the file whole.
+  for (const char* payload : {kPreviousFormat, kTooMany, kCutShort}) {
+    SCOPED_TRACE(payload);
+    overwrite(payload);
+    {
+      smt::PersistentVerdictStore fresh(dir.path.string());
+      EXPECT_FALSE(fresh.loadTask(key, 0, 2, digest).has_value());
+      fresh.storeTask(key, rec, digest);
+      EXPECT_EQ(fresh.stats().taskStores, 1);
+    }
+    got = diskLoadTask(dir, key, 0, digest);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->checks, rec.checks);
+  }
 }
 
 TEST(DiskCache, CorruptAndTruncatedFilesFallThrough) {

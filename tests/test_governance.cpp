@@ -163,10 +163,13 @@ TEST(VerdictStoreBudget, ExhaustedRecordNeverPoisonsLargerBudget) {
     v.push_back(atoms.internVar("v" + std::to_string(k), 0, false));
   smt::PersistentVerdictStore store("");
 
-  // Starved solver: one step is not enough for the pivot chain.
-  smt::Solver starved(atoms);
-  starved.attachStore(&store);
-  starved.setStepBudget(1);
+  // Raw solvers over the store, fast path off as in a pure-SMT solver; the
+  // starved ones get one step, not enough for the pivot chain.
+  const smt::CheckPolicy unlimited{.fastpath = smt::FastPathMode::Off,
+                                   .store = &store};
+  const smt::CheckPolicy oneStep{
+      .fastpath = smt::FastPathMode::Off, .stepBudget = 1, .store = &store};
+  smt::Solver starved(atoms, oneStep, nullptr);
   addChain(starved, v);
   EXPECT_EQ(starved.check(), smt::CheckResult::Unknown);
   // The solver's record of the check is the record the store keeps: tier
@@ -178,8 +181,7 @@ TEST(VerdictStoreBudget, ExhaustedRecordNeverPoisonsLargerBudget) {
 
   // Unlimited solver over the same store and conjunction: the exhausted
   // record is budget-insufficient, so it re-derives the real verdict.
-  smt::Solver full(atoms);
-  full.attachStore(&store);
+  smt::Solver full(atoms, unlimited, nullptr);
   addChain(full, v);
   EXPECT_EQ(full.check(), smt::CheckResult::Unsat);
   EXPECT_TRUE(full.lastCheck().complete);
@@ -190,48 +192,17 @@ TEST(VerdictStoreBudget, ExhaustedRecordNeverPoisonsLargerBudget) {
   // it derives the same exhaustion record, and a second unlimited solver
   // is served the complete one — either way the answers match what each
   // budget would derive on its own.
-  smt::Solver starved2(atoms);
-  starved2.attachStore(&store);
-  starved2.setStepBudget(1);
+  smt::Solver starved2(atoms, oneStep, nullptr);
   addChain(starved2, v);
   EXPECT_EQ(starved2.check(), smt::CheckResult::Unknown);
   EXPECT_EQ(starved2.stats().cacheHits, 0);
   EXPECT_EQ(starved2.lastCheck(), exhausted);
 
-  smt::Solver full2(atoms);
-  full2.attachStore(&store);
+  smt::Solver full2(atoms, unlimited, nullptr);
   addChain(full2, v);
   EXPECT_EQ(full2.check(), smt::CheckResult::Unsat);
   EXPECT_EQ(full2.stats().cacheHits, 1);
   EXPECT_EQ(full2.lastCheck(), full.lastCheck());
-}
-
-TEST(SolverBudget, OneSolverOverAStoreHonorsTheSameGuard) {
-  smt::AtomTable atoms;
-  std::vector<smt::AtomId> v;
-  for (int k = 0; k < 4; ++k)
-    v.push_back(atoms.internVar("v" + std::to_string(k), 0, false));
-
-  // One solver over a store: starve a check, then lift the budget. The
-  // stored exhausted record must be re-derived, not replayed as Unknown.
-  smt::PersistentVerdictStore store("");
-  smt::Solver s(atoms);
-  s.attachStore(&store);
-  s.setStepBudget(1);
-  addChain(s, v);
-  EXPECT_EQ(s.check(), smt::CheckResult::Unknown);
-  const smt::VerdictRecord exhausted{smt::CheckResult::Unknown, 2, false, 1};
-  EXPECT_EQ(s.lastCheck(), exhausted);
-  EXPECT_EQ(store.loadCheck(s.stackKey(), 1), exhausted);
-  s.setStepBudget(0);
-  EXPECT_EQ(s.check(), smt::CheckResult::Unsat);
-  const smt::VerdictRecord derived = s.lastCheck();
-  EXPECT_TRUE(derived.complete);
-  EXPECT_EQ(store.loadCheck(s.stackKey(), 0), derived);
-  // And the upgraded complete record now serves the unlimited re-check.
-  EXPECT_EQ(s.check(), smt::CheckResult::Unsat);
-  EXPECT_EQ(s.stats().cacheHits, 1);
-  EXPECT_EQ(s.lastCheck(), derived);
 }
 
 // ---------------------------------------------------------------- WorkPool
@@ -322,8 +293,8 @@ driver::DriverOptions starvedOptions(long long budget) {
   opts.analysisThreads = 1;
   // The tiered fast paths answer stencil queries without solver steps, so
   // starve the full solver specifically.
-  opts.fastpath = smt::FastPathMode::Off;
-  opts.solverStepBudget = budget;
+  opts.checks.fastpath = smt::FastPathMode::Off;
+  opts.checks.stepBudget = budget;
   return opts;
 }
 
@@ -453,7 +424,7 @@ TEST(Degradation, TinyDeadlineReturnsPromptlyAndSoundly) {
   for (int threads : {1, 4}) {
     driver::DriverOptions opts;
     opts.analysisThreads = threads;
-    opts.analysisDeadlineMs = 1;
+    opts.checks.deadlineMs = 1;
     // Liveness contract only: the analysis returns (instead of hanging) and
     // whatever it could not finish is conservatively unsafe with a reason.
     auto a =
@@ -476,7 +447,7 @@ TEST(FaultInjection, ForcedUnknownDegradesLikeBudgetExhaustion) {
   fault.unknownAtCheck = 1;
   driver::DriverOptions opts;
   opts.analysisThreads = 1;
-  opts.faultInject = &fault;
+  opts.checks.faultInject = &fault;
   auto a = driver::analyze(*kernel, spec.independents, spec.dependents, opts);
   EXPECT_GT(a.budgetExhaustedChecks(), 0)
       << "the injected Unknown must surface in the governance counters";
@@ -491,7 +462,7 @@ TEST(FaultInjection, ForcedThrowPropagatesWithoutHangingThePool) {
   driver::DriverOptions opts;
   opts.mode = driver::AdjointMode::FormAD;
   opts.analysisThreads = 4;  // the interesting case: workers must unwind
-  opts.faultInject = &fault;
+  opts.checks.faultInject = &fault;
   try {
     auto dr = driver::differentiate(*kernel, spec.independents,
                                     spec.dependents, opts);
@@ -500,6 +471,38 @@ TEST(FaultInjection, ForcedThrowPropagatesWithoutHangingThePool) {
     EXPECT_NE(std::string(e.what()).find("injected solver fault"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// CheckPolicy::servingStore is the one rule that keeps injected verdicts
+// out of the store, in both analyses: with a fault harness set, neither
+// FormAD exploitation nor the race checker loads, claims or stores a
+// record, at any width, while the injected Unknown still surfaces.
+TEST(FaultInjection, InjectedFaultsNeverReachTheStore) {
+  auto spec = kernels::stencilSpec(2);
+  auto kernel = parser::parseKernel(spec.source);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    smt::PersistentVerdictStore store("");
+    smt::FaultInject analyzeFault, raceFault;
+    analyzeFault.unknownAtCheck = raceFault.unknownAtCheck = 1;
+    driver::DriverOptions opts;
+    opts.analysisThreads = threads;
+    opts.checks.store = &store;
+    opts.checks.faultInject = &analyzeFault;
+    const auto a =
+        driver::analyze(*kernel, spec.independents, spec.dependents, opts);
+    EXPECT_GT(a.budgetExhaustedChecks(), 0);
+    opts.checks.faultInject = &raceFault;
+    const auto races = driver::checkRaces(*kernel, opts);
+    ASSERT_EQ(races.regions.size(), 1u);
+    EXPECT_GT(races.regions[0].budgetExhaustedChecks, 0);
+
+    const auto s = store.stats();
+    for (long long counter :
+         {s.checkHits, s.checkMisses, s.checkStores, s.taskHits,
+          s.taskMisses, s.taskStores, s.flightClaims})
+      EXPECT_EQ(counter, 0);
   }
 }
 
@@ -533,8 +536,8 @@ class StencilRaces {
 TEST(RaceCheckGovernance, StarvedBudgetLeavesEveryPairUndecided) {
   const StencilRaces races;
   driver::DriverOptions opts;
-  opts.fastpath = smt::FastPathMode::Off;
-  opts.solverStepBudget = 1;
+  opts.checks.fastpath = smt::FastPathMode::Off;
+  opts.checks.stepBudget = 1;
   std::vector<std::string> described;
   for (int threads : {1, 4}) {
     const auto report = races.check(threads, opts);
@@ -557,7 +560,7 @@ TEST(RaceCheckGovernance, InjectedThrowFailsTheRegion) {
     smt::FaultInject fault;
     fault.throwAtCheck = 1;
     driver::DriverOptions opts;
-    opts.faultInject = &fault;
+    opts.checks.faultInject = &fault;
     const auto report = races.check(threads, opts);
     ASSERT_EQ(report.regions.size(), 1u);
     const auto& r = report.regions[0];
@@ -595,15 +598,15 @@ TEST(RaceCheckGovernance, FastPathModeReachesTheChecker) {
   for (int threads : {1, 4}) {
     smt::PersistentVerdictStore store("");
     driver::DriverOptions opts;
-    opts.verdictStore = &store;
-    opts.fastpath = smt::FastPathMode::Off;
+    opts.checks.store = &store;
+    opts.checks.fastpath = smt::FastPathMode::Off;
     (void)races.check(threads, opts);
     const long long afterOff = store.stats().checkStores;
-    opts.fastpath = smt::FastPathMode::Full;
+    opts.checks.fastpath = smt::FastPathMode::Full;
     (void)races.check(threads, opts);
     const long long afterFull = store.stats().checkStores;
     EXPECT_GT(afterFull, afterOff) << threads << " threads";
-    opts.fastpath = smt::FastPathMode::Off;
+    opts.checks.fastpath = smt::FastPathMode::Off;
     (void)races.check(threads, opts);
     EXPECT_EQ(store.stats().checkStores, afterFull) << threads << " threads";
   }
@@ -619,8 +622,8 @@ TEST(DefaultGovernance, UnlimitedBudgetReportsAreByteIdenticalToDefaults) {
   for (int threads : {1, 2, 4, 8}) {
     driver::DriverOptions opts;
     opts.analysisThreads = threads;
-    opts.solverStepBudget = 0;
-    opts.analysisDeadlineMs = 0;
+    opts.checks.stepBudget = 0;
+    opts.checks.deadlineMs = 0;
     auto gov =
         driver::analyze(*kernel, spec.independents, spec.dependents, opts);
     EXPECT_EQ(core::describe(base, false) + core::describeTiers(base),

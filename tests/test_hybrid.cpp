@@ -158,8 +158,8 @@ TEST(HybridRacyMutants, SerialExecutionReproducesTheSerialReference) {
 TEST(HybridGovernance, BudgetStarvedAgreesWithUnstarved) {
   driver::DriverOptions starved;
   starved.mode = AdjointMode::Hybrid;
-  starved.fastpath = smt::FastPathMode::Off;
-  starved.solverStepBudget = 1;
+  starved.checks.fastpath = smt::FastPathMode::Off;
+  starved.checks.stepBudget = 1;
 
   driver::DriverOptions unstarved;
   unstarved.mode = AdjointMode::Hybrid;

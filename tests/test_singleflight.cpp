@@ -334,7 +334,7 @@ std::string reportOf(const Analyzed& a) {
 Analyzed analyzeStencil(smt::PersistentVerdictStore* store) {
   const auto spec = kernels::stencilSpec(4);
   driver::DriverOptions opts;
-  opts.verdictStore = store;
+  opts.checks.store = store;
   auto kernel = parser::parseKernel(spec.source);
   auto analysis = driver::analyze(*kernel, spec.independents, spec.dependents,
                                   opts);

@@ -127,15 +127,15 @@ TEST(Lia, GcdIntegerInfeasibility) {
 // ---------------------------------------------------------------- Solver
 
 // The fixture's solver caches through a memory-only verdict store, the
-// way the analyses attach one.
+// way the analyses' solvers do, with the raw solver's fast path off.
 class SolverTest : public ::testing::Test {
  protected:
-  SolverTest() { solver.attachStore(&store); }
   AtomTable atoms;
   AtomId i = atoms.internVar("i", 0, false);
   AtomId ip = atoms.internVar("i", 0, true);
   PersistentVerdictStore store{""};
-  Solver solver{atoms};
+  Solver solver{atoms, {.fastpath = FastPathMode::Off, .store = &store},
+                nullptr};
 };
 
 TEST_F(SolverTest, PaperFig2Scenario) {
@@ -461,8 +461,7 @@ class FastPathTier1Test : public SolverTest {
   FastDecision decideAndCrossCheck(const std::vector<Constraint>& stack,
                                    CheckResult expect) {
     Solver pure(atoms);  // FastPathMode::Off by default
-    Solver fast(atoms);
-    fast.setFastPathMode(FastPathMode::Full);
+    Solver fast(atoms, {.fastpath = FastPathMode::Full}, nullptr);
     for (const auto& c : stack) {
       pure.add(c);
       fast.add(c);
@@ -774,8 +773,8 @@ TEST_F(SolverTest, SharedStoreNeverServesStaleScopedVerdict) {
 
   // A second solver over the same store replays all three verdicts
   // without solving.
-  Solver other(atoms);
-  other.attachStore(&store);
+  Solver other(atoms, {.fastpath = FastPathMode::Off, .store = &store},
+               nullptr);
   other.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
   EXPECT_EQ(other.check(), CheckResult::Sat);
   other.push();
@@ -828,9 +827,8 @@ TEST(SolverStackKey, IncrementalKeyMatchesConjunctionKey) {
   const FastPathMode modes[] = {FastPathMode::Full, FastPathMode::Off,
                                 FastPathMode::Syntactic};
   for (int round = 0; round < 6; ++round) {
-    Solver solver(atoms);
     const FastPathMode mode = modes[round % 3];
-    solver.setFastPathMode(mode);
+    Solver solver(atoms, {.fastpath = mode}, nullptr);
     const int saltAt = round % 2 == 1 ? static_cast<int>(rng() % 300) : -1;
     std::vector<std::string> live;
     std::vector<size_t> marks;
@@ -884,9 +882,8 @@ TEST(VerdictStoreTest, SharesVerdictsAcrossAtomTables) {
   const AtomId ip1 = t1.internVar("i", 0, true);
   const AtomId ip2 = t2.internVar("i", 0, true);
   const AtomId i2 = t2.internVar("i", 0, false);
-  Solver s1(t1), s2(t2);
-  s1.attachStore(&store);
-  s2.attachStore(&store);
+  const CheckPolicy stored{.fastpath = FastPathMode::Off, .store = &store};
+  Solver s1(t1, stored, nullptr), s2(t2, stored, nullptr);
   s1.add(Constraint::ne(LinExpr::atom(ip1), LinExpr::atom(i1)));
   s1.add(Constraint::eq(LinExpr::atom(ip1), LinExpr::atom(i1)));
   EXPECT_EQ(s1.check(), CheckResult::Unsat);
@@ -956,8 +953,8 @@ TEST(VerdictStoreTest, ConcurrentStoresAndLookupsAreConsistent) {
   std::atomic<int> disagreements{0};
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
-      Solver s(table);
-      s.attachStore(&store);
+      Solver s(table, {.fastpath = FastPathMode::Off, .store = &store},
+               nullptr);
       for (int round = 0; round < 50; ++round) {
         const int v = (t + round) % 8;
         s.push();
