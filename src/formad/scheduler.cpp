@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -86,9 +85,8 @@ void QueryScheduler::plan() {
     const BaseNode* p =
         parent < 0 ? nullptr : &bases_[static_cast<size_t>(parent)];
     n.depth = (p == nullptr ? 0 : p->depth) + 1;
-    n.sum0 = (p == nullptr ? 0 : p->sum0) + smt::fnv1a64(n.deltaKey);
-    n.sum1 = (p == nullptr ? 0 : p->sum1) +
-             smt::fnv1a64(n.deltaKey, smt::kDigestSeed2);
+    n.sum = p == nullptr ? smt::Digest{} : p->sum;
+    n.sum += smt::partDigest(n.deltaKey);
     bases_.push_back(std::move(n));
     return static_cast<int>(bases_.size()) - 1;
   };
@@ -160,96 +158,28 @@ void QueryScheduler::plan() {
   for (size_t pos = 0; pos < schedule_.size(); ++pos)
     taskSteps_[static_cast<size_t>(schedule_[pos].taskIndex)].push_back(pos);
 
-  // Content-addressed task keys for the persistent store: kind tag, the
-  // canonical (sorted) base-conjunction key, then the probe keys IN ORDER
-  // (the probe walk stops at the first Unsat, so order is semantic).
-  // Derived only when a store serves.
+  // Store keys: each base node's context digest in the run's key space,
+  // and each task's own key within it — kind tag, then the probe keys IN
+  // ORDER (the probe walk stops at the first Unsat, so order is
+  // semantic). O(probes) per task; the canonical base keys are derived in
+  // run(), for the bases a lookup opens. Derived only when a store serves.
   if (opts_.checks.servingStore() != nullptr) {
-    // Canonical (sorted, ';'-joined) base keys, derived INCREMENTALLY over
-    // the prefix tree: a node's key is its parent's key with the one new
-    // part spliced in at its sorted position — one O(|key|) copy per base
-    // instead of re-sorting ~depth constraint keys per base. Identical
-    // output to conjunctionKey(baseKeysOf(id)) by induction (inserting
-    // into a sorted join keeps it a sorted join).
-    std::map<int, std::string> keyMemo;
-    std::function<const std::string&(int)> baseKeyMemo =
-        [&](int id) -> const std::string& {
-      auto it = keyMemo.find(id);
-      if (it != keyMemo.end()) return it->second;
-      const BaseNode& n = bases_[static_cast<size_t>(id)];
-      std::string key;
-      if (n.parent < 0) {
-        key = n.deltaKey + ';';
-      } else {
-        const std::string& pk = baseKeyMemo(n.parent);
-        size_t pos = 0;
-        while (pos < pk.size()) {
-          const size_t end = pk.find(';', pos);
-          if (std::string_view(pk).substr(pos, end - pos) >= n.deltaKey) break;
-          pos = end + 1;
-        }
-        key.reserve(pk.size() + n.deltaKey.size() + 1);
-        key.append(pk, 0, pos);
-        key += n.deltaKey;
-        key += ';';
-        key.append(pk, pos, std::string::npos);
-      }
-      return keyMemo.emplace(id, std::move(key)).first->second;
-    };
-    // Mixes one word into an FNV state (collisions only cost a miss — the
-    // store verifies the full fingerprint on load).
-    auto mix = [](std::uint64_t h, std::uint64_t v) {
-      h ^= v;
-      return h * 0x100000001b3ULL;
-    };
     // The fast-path mode and absint hints change tier attribution without
     // changing the conjunction, and records store tiers — so runs under
-    // different modes or hint sets must never share task records. Mix the
-    // mode (unless Full) and the facts digest (unless absint is off) into
-    // the fingerprint and both hash lanes; the defaults leave the seed
-    // bytes and digests untouched, so existing stores stay warm.
-    std::string modeTag;
-    if (opts_.checks.fastpath != smt::FastPathMode::Full)
-      modeTag = "fastpath:" + smt::to_string(opts_.checks.fastpath) + "|";
-    const std::uint64_t salt = model_.hints.salt;
-    char saltTag[32] = {0};
-    if (salt != 0)
-      std::snprintf(saltTag, sizeof(saltTag), "absint:%016llx|",
-                    static_cast<unsigned long long>(salt));
+    // different modes or hint sets must never share records. The key
+    // space is the Solver's, so a base's context and a worker solver's
+    // context over the same constraints are one store context.
+    keySpace_ = smt::keySpace(opts_.checks.fastpath, model_.hints.salt);
+    for (auto& n : bases_)
+      n.context = smt::contextDigest(n.sum, n.depth, keySpace_);
     for (auto& t : tasks_) {
-      const BaseNode& bn = bases_[static_cast<size_t>(t.baseId)];
-      const std::string& baseKey = baseKeyMemo(t.baseId);
-      const bool cons = t.kind == QueryTask::Kind::Consistency;
-      size_t len = 2 + modeTag.size() + sizeof(saltTag) + baseKey.size();
-      for (const auto& pk : t.probeKeys) len += 1 + pk.size();
-      t.fingerprint.assign(cons ? "C|" : "P|");
-      t.fingerprint.reserve(len);
-      t.fingerprint += modeTag;
-      t.fingerprint += saltTag;
-      t.fingerprint += baseKey;
-      // File digest from the node's order-independent content sums plus
-      // the ordered probe keys — O(probes), never a walk of the multi-KB
-      // fingerprint (see QueryTask::digest).
-      std::uint64_t h0 = mix(smt::fnv1a64(cons ? "C" : "P"), bn.sum0);
-      std::uint64_t h1 =
-          mix(smt::fnv1a64(cons ? "C" : "P", smt::kDigestSeed2), bn.sum1);
-      h0 = mix(h0, bn.depth);
-      h1 = mix(h1, bn.depth);
-      if (!modeTag.empty()) {
-        h0 = mix(h0, smt::fnv1a64(modeTag));
-        h1 = mix(h1, smt::fnv1a64(modeTag, smt::kDigestSeed2));
-      }
-      if (salt != 0) {
-        h0 = mix(h0, salt);
-        h1 = mix(h1, salt);
-      }
+      t.storeKey = t.kind == QueryTask::Kind::Consistency ? "C" : "P";
       for (const auto& pk : t.probeKeys) {
-        t.fingerprint += '|';
-        t.fingerprint += pk;
-        h0 = smt::fnv1a64(pk, mix(h0, pk.size()));
-        h1 = smt::fnv1a64(pk, mix(h1, pk.size()));
+        t.storeKey += '|';
+        t.storeKey += pk;
       }
-      t.digest = smt::digestHex(h0, h1);
+      t.digest = smt::recordDigest(
+          bases_[static_cast<size_t>(t.baseId)].context, t.storeKey);
     }
   }
 }
@@ -356,16 +286,16 @@ RegionVerdict QueryScheduler::replay(const std::vector<QueryResult>& results,
   // content, probe key) identifies the sorted conjunction exactly —
   // dedup on the pair instead of materializing the multi-KB joined key
   // per check. Base content is identified by the node's 128-bit
-  // order-independent content sums + depth (BaseNode::sum0/sum1),
-  // accumulated in O(1) per node at plan time: equal conjunctions always
-  // map to equal triples, and a sum collision between distinct ones (odds
-  // ~2^-128) could only skew these diagnostic counters, never a verdict.
+  // order-independent content sum + depth (BaseNode::sum), accumulated in
+  // O(1) per node at plan time: equal conjunctions always map to equal
+  // triples, and the parts are mixed before they are summed, so distinct
+  // conjunctions that differ in a constant do not cancel to one.
   using BaseContent = std::tuple<std::uint64_t, std::uint64_t, size_t>;
   std::map<BaseContent, int> contentIds;
   auto baseContentId = [&](int baseId) {
     const BaseNode& n = bases_[static_cast<size_t>(baseId)];
     return contentIds
-        .emplace(BaseContent{n.sum0, n.sum1, n.depth},
+        .emplace(BaseContent{n.sum.lo, n.sum.hi, n.depth},
                  static_cast<int>(contentIds.size()))
         .first->second;
   };
@@ -513,10 +443,62 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     results[i].evaluated = true;
     results[i].record = std::move(rec);
   };
+  // The store context of each base a lookup reaches, opened once per run
+  // by the serial walk below. Its canonical key — the key-space tag, then
+  // the sorted base keys — is derived incrementally over the prefix tree:
+  // a node's key is its parent's with the node's one delta key spliced in
+  // at its sorted position (one linear copy), which by induction is the
+  // sorted key of its whole conjunction. A task the batches evaluate was
+  // visited by the walk (every step of one it passed stays dead, so the
+  // batches skip it), so the batches only read opened handles.
+  std::vector<smt::ContextHandle> contexts;
+  std::vector<char> opened;
+  std::vector<std::string> baseKeys;  // "" = not derived yet
+  if (store != nullptr) {
+    contexts.resize(bases_.size());
+    opened.assign(bases_.size(), 0);
+    baseKeys.resize(bases_.size());
+  }
+  auto baseKey = [&](int id) -> const std::string& {
+    std::vector<int> path;
+    for (int at = id; at >= 0 && baseKeys[static_cast<size_t>(at)].empty();
+         at = bases_[static_cast<size_t>(at)].parent)
+      path.push_back(at);
+    for (auto it = path.rbegin(); it != path.rend(); ++it) {
+      const BaseNode& n = bases_[static_cast<size_t>(*it)];
+      const std::string& pk =
+          n.parent < 0 ? keySpace_ : baseKeys[static_cast<size_t>(n.parent)];
+      size_t pos = keySpace_.size();
+      while (pos < pk.size()) {
+        const size_t end = pk.find(';', pos);
+        if (std::string_view(pk).substr(pos, end - pos) >= n.deltaKey) break;
+        pos = end + 1;
+      }
+      std::string key;
+      key.reserve(pk.size() + n.deltaKey.size() + 1);
+      key.append(pk, 0, pos);
+      key += n.deltaKey;
+      key += ';';
+      key.append(pk, pos, std::string::npos);
+      baseKeys[static_cast<size_t>(*it)] = std::move(key);
+    }
+    return baseKeys[static_cast<size_t>(id)];
+  };
+  auto taskKey = [&](size_t i) {
+    const QueryTask& t = tasks_[i];
+    return smt::RecordKey{contexts[static_cast<size_t>(t.baseId)],
+                          t.storeKey, t.digest};
+  };
   auto spliceTask = [&](size_t i) {
     if (store == nullptr) return;
-    auto rec = store->loadTask(tasks_[i].fingerprint, stepBudget,
-                               tasks_[i].probes.size(), tasks_[i].digest);
+    const auto b = static_cast<size_t>(tasks_[i].baseId);
+    if (opened[b] == 0) {
+      contexts[b] = store->openContext(bases_[b].context,
+                                       baseKey(tasks_[i].baseId));
+      opened[b] = 1;
+    }
+    auto rec = store->loadTask(taskKey(i), stepBudget,
+                               tasks_[i].probes.size());
     if (!rec) return;
     adoptRecord(i, std::move(*rec));
     ++splicedCount;
@@ -539,16 +521,15 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
       results[i] = evaluate(solver, atBase, tasks_[i]);
       return;
     }
-    auto flight =
-        store->claimTask(tasks_[i].fingerprint, stepBudget, cancel);
+    const smt::RecordKey key = taskKey(i);
+    auto flight = store->claimTask(key, stepBudget, cancel);
     if (flight.served) {
       adoptRecord(i, std::move(*flight.served));
       joinedCount.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     results[i] = evaluate(solver, atBase, tasks_[i]);
-    store->storeTask(tasks_[i].fingerprint, results[i].record,
-                     tasks_[i].digest);
+    store->storeTask(key, results[i].record);
     persistedCount.fetch_add(1, std::memory_order_relaxed);
   };
 
@@ -597,7 +578,8 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   solvers.reserve(static_cast<size_t>(width));
   for (int w = 0; w < width; ++w) {
     solvers.push_back(
-        std::make_unique<smt::Solver>(*model_.atoms, opts_.checks, cancel));
+        std::make_unique<smt::Solver>(*model_.atoms, opts_.checks, cancel,
+                                      /*persistChecks=*/false));
     solvers.back()->setAbsintHints(&model_.hints);
   }
 

@@ -82,20 +82,20 @@ struct QueryTask {
   std::vector<smt::Constraint> probes;
   /// Content fingerprint of each probe (smt/fingerprint.h), parallel to
   /// `probes` — derived once at plan time and reused by the worker
-  /// solvers' stack keys, replay accounting and the persistent-store key.
+  /// solvers' keys, replay accounting and the task's store key.
   std::vector<std::string> probeKeys;
-  /// Content-addressed key of the whole task for the persistent store:
-  /// kind tag + canonical base-conjunction key + ordered probe keys.
-  /// Empty when no store serves (never derived).
-  std::string fingerprint;
-  /// Structural 32-hex file digest handed to the persistent store: kind
-  /// tag + the base node's order-independent content sums + the ordered
-  /// probe keys, mixed through FNV. A pure function of task content (never
-  /// of AtomIds or insertion order) that costs O(probes) to derive — the
-  /// multi-KB fingerprint is never re-walked to name a file. Digest
-  /// collisions only cost a miss: the store verifies the full fingerprint
-  /// on every load. Empty iff fingerprint is.
-  std::string digest;
+  /// The task record's key within its base context, for the verdict
+  /// store: the kind tag ("C" or "P"), then '|' and each probe key in
+  /// order (the probe walk stops at the first Unsat, so order is
+  /// semantic). Empty when no store serves (never derived).
+  std::string storeKey;
+  /// The task record's digest: smt::recordDigest of the base context's
+  /// digest (BaseNode::context, a sum of its parts' digests, each mixed
+  /// before it is summed) and storeKey. A pure function of task content
+  /// (never of AtomIds or insertion order) that costs O(probes) to
+  /// derive. A collision only costs a miss: the store verifies the base
+  /// context's canonical key once per run and storeKey on every hit.
+  smt::Digest digest;
 };
 
 /// Outcome of evaluating one QueryTask.
@@ -140,13 +140,16 @@ class QueryScheduler {
                            // and handed to every solver that pushes it
     size_t depth = 0;      // constraints on the root-to-node path
     /// Order-independent 128-bit content signature of the root-to-node
-    /// conjunction: the two seeded per-part FNV hashes SUMMED along the
-    /// path (a conjunction is a multiset, and wrapping sums commute), so
-    /// each node derives its signature from its parent in O(|delta|).
-    /// Replay uses (sum0, sum1, depth) to identify base content without
-    /// materializing canonical keys; the persistent-store file digest is
-    /// derived from it the same way.
-    std::uint64_t sum0 = 0, sum1 = 0;
+    /// conjunction: each part's smt::partDigest — its two seeded FNV lanes,
+    /// each MIXED through a finalizer so that parts cannot cancel — SUMMED
+    /// along the path (a conjunction is a multiset, and wrapping sums
+    /// commute), so each node derives its signature from its parent in
+    /// O(|delta|). Replay uses (sum, depth) to identify base content
+    /// without materializing canonical keys.
+    smt::Digest sum;
+    /// With a serving store: the digest of this node's store context,
+    /// smt::contextDigest of (sum, depth) in the run's key space.
+    smt::Digest context;
   };
 
   // One step of the canonical serial schedule (DFS pre-order).
@@ -179,6 +182,9 @@ class QueryScheduler {
   const RegionModel& model_;
   const ExploitOptions& opts_;
   std::vector<BaseNode> bases_;
+  /// With a serving store: smt::keySpace of the run, the tag that opens
+  /// every base context's canonical key.
+  std::string keySpace_;
   std::vector<QueryTask> tasks_;
   std::vector<Step> schedule_;
   /// Schedule positions of the steps that consume each task, ascending:

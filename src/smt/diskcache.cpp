@@ -1,14 +1,18 @@
 #include "smt/diskcache.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
-#include "smt/fingerprint.h"
 #include "support/cancel.h"
 #include "support/diagnostics.h"
 
@@ -18,7 +22,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kMagic = "formadvc 1";
+constexpr const char* kMagic = "formadvc 2";
 
 const char* verdictTag(CheckResult r) {
   switch (r) {
@@ -140,6 +144,21 @@ bool parse(const std::vector<std::string>& payload,
   return n == walk || rec.proved();
 }
 
+/// Keeps `rec` for `key` in `entry` when it is new, stronger than the
+/// record the entry holds for the same key, or the entry holds another
+/// key's record (a digest collision: the last key kept wins the slot).
+/// True when kept.
+template <class Entry, class Rec>
+bool keep(Entry& entry, const RecordKey& key, const Rec& rec) {
+  const bool same =
+      entry.context == key.context.digest() && entry.probes == key.probes;
+  if (same) return keepStronger(entry.rec, rec);
+  entry.context = key.context.digest();
+  entry.probes = key.probes;
+  entry.rec = rec;
+  return true;
+}
+
 }  // namespace
 
 PersistentVerdictStore::PersistentVerdictStore(std::string dir)
@@ -151,60 +170,62 @@ PersistentVerdictStore::PersistentVerdictStore(std::string dir)
     fail("cache directory '" + dir_ + "' cannot be created: " + ec.message());
 }
 
-std::string PersistentVerdictStore::pathFor(
-    char kind, const std::string& key, const std::string* digest) const {
-  return dir_ + "/" + kind + (digest ? *digest : contentDigest(key)) + ".fvc";
+std::string PersistentVerdictStore::pathFor(char kind,
+                                            const Digest& digest) const {
+  return dir_ + "/" + kind + digest.hex() + ".fvc";
 }
 
-void PersistentVerdictStore::writeRecord(char kind, const std::string& key,
-                                         const std::string& payload,
-                                         const std::string* digestHint) {
+bool PersistentVerdictStore::writeFile(char kind, const Digest& digest,
+                                       const std::string& body,
+                                       bool exclusive) {
   // Unique temp name: concurrent writers (threads or whole processes
-  // sharing the directory) never collide, and the final rename is atomic —
-  // readers see either no file or a complete one.
+  // sharing the directory) never collide, and the final rename or link is
+  // atomic — readers see either no file or a complete one.
   const unsigned long long n =
       tmpCounter_.fetch_add(1, std::memory_order_relaxed);
-  const std::string digest = digestHint ? *digestHint : contentDigest(key);
   const std::string tmp =
-      dir_ + "/.tmp-" + digest + "-" +
-      std::to_string(fnv1a64(digest) ^
-                     reinterpret_cast<unsigned long long>(this)) +
-      "-" + std::to_string(n);
+      dir_ + "/.tmp-" + kind + digest.hex() + "-" +
+      std::to_string(reinterpret_cast<std::uintptr_t>(this)) + "-" +
+      std::to_string(n);
+  std::error_code ec;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;  // best effort: an unwritable store is a slow one
-    out << kMagic << ' ' << kind << '\n'
-        << "key " << key.size() << '\n'
-        << key << '\n'
-        << payload << "ok\n";
+    if (!out) return false;  // best effort: an unwritable store is a slow one
+    out << kMagic << ' ' << kind << '\n' << body << "ok\n";
     out.flush();
     if (!out) {
       out.close();
-      std::error_code ec;
       fs::remove(tmp, ec);
-      return;
+      return false;
     }
   }
-  if (std::rename(tmp.c_str(), pathFor(kind, key, &digest).c_str()) != 0) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-  }
+  const std::string path = pathFor(kind, digest);
+  // A hard link, unlike a rename, fails where a file already is.
+  const bool placed = exclusive ? ::link(tmp.c_str(), path.c_str()) == 0
+                                : std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (exclusive || !placed) fs::remove(tmp, ec);
+  return placed;
 }
 
 std::optional<std::vector<std::string>> PersistentVerdictStore::readRecord(
-    char kind, const std::string& key, const std::string* digest) const {
-  std::ifstream in(pathFor(kind, key, digest), std::ios::binary);
+    char kind, const RecordKey& key) const {
+  std::ifstream in(pathFor(kind, key.digest), std::ios::binary);
   if (!in) return std::nullopt;
   std::string line;
   if (!std::getline(in, line) || line != std::string(kMagic) + ' ' + kind)
+    return std::nullopt;  // absent, or another kind or format
+  // Full verification: the digest in the file name only located a
+  // candidate; the record is served only if its context digest and its
+  // FULL probe key match.
+  if (!std::getline(in, line) ||
+      line != "context " + key.context.digest().hex())
     return std::nullopt;
-  if (!std::getline(in, line) || line != "key " + std::to_string(key.size()))
+  if (!std::getline(in, line) ||
+      line != "probes " + std::to_string(key.probes.size()))
     return std::nullopt;  // declared length differs: never allocate it
-  // Collision-proof verification: the digest in the file name only located
-  // a candidate; the verdict is served only if the FULL key matches.
-  std::string stored(key.size(), '\0');
-  if (!in.read(stored.data(), static_cast<std::streamsize>(key.size())) ||
-      stored != key || in.get() != '\n')
+  std::string stored(key.probes.size(), '\0');
+  if (!in.read(stored.data(), static_cast<std::streamsize>(stored.size())) ||
+      stored != key.probes || in.get() != '\n')
     return std::nullopt;
   std::vector<std::string> payload;
   while (std::getline(in, line)) {
@@ -214,17 +235,126 @@ std::optional<std::vector<std::string>> PersistentVerdictStore::readRecord(
   return std::nullopt;  // truncated: treat as absent, recompute
 }
 
-template <class Rec>
-std::optional<Rec> PersistentVerdictStore::load(Layer<Rec>& layer,
-                                                const std::string& key,
-                                                long long stepLimit,
-                                                size_t probes,
-                                                const std::string* digest) {
-  auto& shard = layer.shardFor(key);
+std::optional<std::string> PersistentVerdictStore::readContext(
+    const Digest& digest, bool& present) const {
+  const std::string path = pathFor('x', digest);
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  present = !ec;
+  if (ec) return std::nullopt;
+  std::ifstream in(path, std::ios::binary);
+  std::string line;
+  if (!in || !std::getline(in, line) || line != std::string(kMagic) + " x" ||
+      !std::getline(in, line) || line.rfind("key ", 0) != 0)
+    return std::nullopt;
+  // The declared length is bounded by the file before anything is
+  // allocated: a corrupt header is a miss, never an allocation failure.
+  std::uintmax_t length = 0;
+  const char* first = line.data() + 4;
+  const char* last = line.data() + line.size();
+  const auto [end, err] = std::from_chars(first, last, length);
+  if (err != std::errc() || end != last || first == last || length > size)
+    return std::nullopt;
+  std::string key(static_cast<size_t>(length), '\0');
+  if (!in.read(key.data(), static_cast<std::streamsize>(key.size())) ||
+      in.get() != '\n' || !std::getline(in, line) || line != "ok")
+    return std::nullopt;
+  return key;
+}
+
+ContextHandle PersistentVerdictStore::openContext(const Digest& digest,
+                                                  std::string_view key) {
+  ContextShard& shard = contextShard(digest);
+  std::unique_lock<std::mutex> lk(shard.mu);
+  auto it = shard.map.find(digest);
+  if (it == shard.map.end()) {
+    // Not in memory: a whole file in the directory decides, read outside
+    // the lock (no shard lock is ever held across file IO). Without one,
+    // the caller's key is kept, and its file is left to the first record
+    // stored under it (contextOnDisk).
+    lk.unlock();
+    std::optional<std::string> onDisk;
+    if (!dir_.empty()) {
+      bool present = false;
+      onDisk = readContext(digest, present);
+      if (onDisk) contextLoads_.fetch_add(1, std::memory_order_relaxed);
+    }
+    lk.lock();
+    bool inserted = false;
+    std::tie(it, inserted) = shard.map.try_emplace(digest);
+    if (inserted) {
+      if (onDisk) {
+        it->second = {std::move(*onDisk), Context::Disk::Written};
+      } else {
+        it->second.key = key;
+        if (dir_.empty())
+          contextStores_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+  const bool verified = it->second.key == key;
+  lk.unlock();
+  if (!verified) contextMismatches_.fetch_add(1, std::memory_order_relaxed);
+  return ContextHandle(digest, verified);
+}
+
+bool PersistentVerdictStore::contextOnDisk(const Digest& digest,
+                                           bool create) {
+  ContextShard& shard = contextShard(digest);
+  const std::string* key = nullptr;
   {
     std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second.rec &&
+    const auto it = shard.map.find(digest);
+    if (it == shard.map.end()) return false;  // opened in another store
+    if (it->second.disk != Context::Disk::Pending)
+      return it->second.disk == Context::Disk::Written;
+    key = &it->second.key;  // never changes once kept, and never erased
+  }
+  // Settle it from the directory, outside the lock. A file is only
+  // created where none is, so of concurrent writers — threads or
+  // processes — the first to create it fixes the key every one of them
+  // verifies against.
+  bool present = false;
+  std::optional<std::string> onDisk = readContext(digest, present);
+  if (onDisk) {
+    contextLoads_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    const std::string body =
+        "key " + std::to_string(key->size()) + '\n' + *key + '\n';
+    bool placed = false;
+    if (!present) {
+      if (!create) return false;
+      placed = writeFile('x', digest, body, /*exclusive=*/true);
+      if (!placed) onDisk = readContext(digest, present);  // another won
+    }
+    // Not whole (a torn write, a disk fault, an older release): heal it.
+    if (!placed && !onDisk) placed = writeFile('x', digest, body);
+    if (placed) contextStores_.fetch_add(1, std::memory_order_relaxed);
+    if (!placed && !onDisk) return false;  // unwritable: memory only
+  }
+  const bool ours = !onDisk || *onDisk == *key;
+  if (!ours) contextMismatches_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(shard.mu);
+  Context& c = shard.map.find(digest)->second;
+  if (c.disk == Context::Disk::Pending)
+    c.disk = ours ? Context::Disk::Written : Context::Disk::Foreign;
+  return c.disk == Context::Disk::Written;
+}
+
+template <class Rec>
+std::optional<Rec> PersistentVerdictStore::load(Layer<Rec>& layer,
+                                                const RecordKey& key,
+                                                long long stepLimit,
+                                                size_t probeCount) {
+  if (!key.context.verified()) {
+    layer.misses.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+  auto& shard = layer.shardFor(key.digest);
+  {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    auto it = shard.map.find(key.digest);
+    if (it != shard.map.end() && it->second.holds(key) &&
         sufficientFor(*it->second.rec, stepLimit)) {
       layer.hits.fetch_add(1, std::memory_order_relaxed);
       layer.memoryHits.fetch_add(1, std::memory_order_relaxed);
@@ -235,13 +365,13 @@ std::optional<Rec> PersistentVerdictStore::load(Layer<Rec>& layer,
   // concurrent run sharing the directory may have persisted a stronger
   // record than this process holds. The parsed record is memoized even
   // when its guard fails, so a weaker one stored later never replaces it.
-  if (!dir_.empty()) {
+  if (!dir_.empty() && contextOnDisk(key.context.digest(), false)) {
     Rec rec;
-    auto payload = readRecord(layer.kind, key, digest);
-    if (payload && parse(*payload, rec, probes)) {
+    auto payload = readRecord(layer.kind, key);
+    if (payload && parse(*payload, rec, probeCount)) {
       {
         std::lock_guard<std::mutex> lk(shard.mu);
-        keepStronger(shard.map[key].rec, rec);
+        keep(shard.map[key.digest], key, rec);
       }
       if (sufficientFor(rec, stepLimit)) {
         layer.hits.fetch_add(1, std::memory_order_relaxed);
@@ -254,61 +384,65 @@ std::optional<Rec> PersistentVerdictStore::load(Layer<Rec>& layer,
 }
 
 template <class Rec>
-void PersistentVerdictStore::publish(Layer<Rec>& layer,
-                                     const std::string& key, const Rec& rec,
-                                     const std::string* digest) {
-  auto& shard = layer.shardFor(key);
+void PersistentVerdictStore::publish(Layer<Rec>& layer, const RecordKey& key,
+                                     const Rec& rec, bool toDisk) {
+  if (!key.context.verified()) return;
+  auto& shard = layer.shardFor(key.digest);
   bool kept = false, resolved = false;
   {
     std::lock_guard<std::mutex> lk(shard.mu);
-    auto& entry = shard.map[key];
-    kept = keepStronger(entry.rec, rec);
-    // Publishing resolves the key's claim, kept or not: waiters wake to
+    auto& entry = shard.map[key.digest];
+    kept = keep(entry, key, rec);
+    // Publishing resolves the digest's claim, kept or not: waiters wake to
     // the record memory now holds.
     resolved = std::exchange(entry.claim, 0) != 0;
   }
   if (resolved) shard.cv.notify_all();
   // Outside the lock: no shard lock is ever held across file IO.
   if (kept) {
-    if (!dir_.empty()) writeRecord(layer.kind, key, render(rec), digest);
+    if (toDisk && !dir_.empty() && contextOnDisk(key.context.digest(), true))
+      writeFile(layer.kind, key.digest,
+                "context " + key.context.digest().hex() + "\nprobes " +
+                    std::to_string(key.probes.size()) + '\n' +
+                    std::string(key.probes) + '\n' + render(rec));
     layer.stores.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 std::optional<VerdictRecord> PersistentVerdictStore::loadCheck(
-    const std::string& key, long long stepLimit) {
-  return load(checks_, key, stepLimit, 1, nullptr);
+    const RecordKey& key, long long stepLimit) {
+  return load(checks_, key, stepLimit, 1);
 }
 
-void PersistentVerdictStore::storeCheck(const std::string& key,
-                                        const VerdictRecord& e) {
-  publish(checks_, key, e, nullptr);
+void PersistentVerdictStore::storeCheck(const RecordKey& key,
+                                        const VerdictRecord& e, bool toDisk) {
+  publish(checks_, key, e, toDisk);
 }
 
 std::optional<PersistentVerdictStore::TaskRecord>
-PersistentVerdictStore::loadTask(const std::string& key, long long stepLimit,
-                                 size_t probes, const std::string& digest) {
-  return load(tasks_, key, stepLimit, probes, &digest);
+PersistentVerdictStore::loadTask(const RecordKey& key, long long stepLimit,
+                                 size_t probeCount) {
+  return load(tasks_, key, stepLimit, probeCount);
 }
 
-void PersistentVerdictStore::storeTask(const std::string& key,
-                                       const TaskRecord& rec,
-                                       const std::string& digest) {
-  publish(tasks_, key, rec, &digest);
+void PersistentVerdictStore::storeTask(const RecordKey& key,
+                                       const TaskRecord& rec) {
+  publish(tasks_, key, rec, true);
 }
 
 template <class Rec>
 PersistentVerdictStore::Claim<Rec> PersistentVerdictStore::claim(
-    Layer<Rec>& layer, const std::string& key, long long stepLimit,
+    Layer<Rec>& layer, const RecordKey& key, long long stepLimit,
     const support::CancelToken* cancel) {
-  auto& shard = layer.shardFor(key);
-  std::unique_lock<std::mutex> lk(shard.mu);
   Claim<Rec> out;
+  if (!key.context.verified()) return out;
+  auto& shard = layer.shardFor(key.digest);
+  std::unique_lock<std::mutex> lk(shard.mu);
   for (bool waited = false;; waited = true) {
     // Looked up afresh after every wait: an unclaim may have erased the
     // entry meanwhile.
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second.rec &&
+    auto it = shard.map.find(key.digest);
+    if (it != shard.map.end() && it->second.holds(key) &&
         sufficientFor(*it->second.rec, stepLimit)) {
       layer.hits.fetch_add(1, std::memory_order_relaxed);
       layer.memoryHits.fetch_add(1, std::memory_order_relaxed);
@@ -319,28 +453,27 @@ PersistentVerdictStore::Claim<Rec> PersistentVerdictStore::claim(
     if (it == shard.map.end() || it->second.claim == 0) {
       const unsigned long long token =
           claimToken_.fetch_add(1, std::memory_order_relaxed);
-      if (it == shard.map.end()) it = shard.map.try_emplace(key).first;
+      if (it == shard.map.end()) it = shard.map.try_emplace(key.digest).first;
       it->second.claim = token;
       flightClaims_.fetch_add(1, std::memory_order_relaxed);
-      out.claim = FlightClaim(this, layer.kind, key, token);
+      out.claim = FlightClaim(this, layer.kind, key.digest, token);
       return out;
     }
-    // Another caller owns the key. The wait is bounded: the notify is an
-    // optimization, the timeout guarantees progress and gives the cancel
-    // token a polling edge.
+    // Another caller owns the digest. The wait is bounded: the notify is
+    // an optimization, the timeout guarantees progress and gives the
+    // cancel token a polling edge.
     shard.cv.wait_for(lk, std::chrono::milliseconds(20));
     if (cancel != nullptr && cancel->poll()) throw support::Cancelled();
   }
 }
 
 template <class Rec>
-void PersistentVerdictStore::unclaim(Layer<Rec>& layer,
-                                     const std::string& key,
+void PersistentVerdictStore::unclaim(Layer<Rec>& layer, const Digest& digest,
                                      unsigned long long token) {
-  auto& shard = layer.shardFor(key);
+  auto& shard = layer.shardFor(digest);
   {
     std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.map.find(key);
+    auto it = shard.map.find(digest);
     if (it == shard.map.end() || it->second.claim != token) return;
     if (it->second.rec)
       it->second.claim = 0;
@@ -352,13 +485,13 @@ void PersistentVerdictStore::unclaim(Layer<Rec>& layer,
 }
 
 PersistentVerdictStore::CheckClaim PersistentVerdictStore::claimCheck(
-    const std::string& key, long long stepLimit,
+    const RecordKey& key, long long stepLimit,
     const support::CancelToken* cancel) {
   return claim(checks_, key, stepLimit, cancel);
 }
 
 PersistentVerdictStore::TaskClaim PersistentVerdictStore::claimTask(
-    const std::string& key, long long stepLimit,
+    const RecordKey& key, long long stepLimit,
     const support::CancelToken* cancel) {
   return claim(tasks_, key, stepLimit, cancel);
 }
@@ -367,9 +500,9 @@ void PersistentVerdictStore::FlightClaim::release() {
   PersistentVerdictStore* s = std::exchange(store_, nullptr);
   if (s == nullptr) return;
   if (kind_ == s->checks_.kind)
-    s->unclaim(s->checks_, key_, token_);
+    s->unclaim(s->checks_, digest_, token_);
   else
-    s->unclaim(s->tasks_, key_, token_);
+    s->unclaim(s->tasks_, digest_, token_);
 }
 
 PersistentVerdictStore::Stats PersistentVerdictStore::stats() const {
@@ -388,6 +521,9 @@ PersistentVerdictStore::Stats PersistentVerdictStore::stats() const {
   s.flightClaims = get(flightClaims_);
   s.flightJoins = get(flightJoins_);
   s.flightUnclaims = get(flightUnclaims_);
+  s.contextLoads = get(contextLoads_);
+  s.contextStores = get(contextStores_);
+  s.contextMismatches = get(contextMismatches_);
   return s;
 }
 

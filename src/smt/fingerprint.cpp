@@ -80,19 +80,52 @@ std::uint64_t fnv1a64(std::string_view s, std::uint64_t seed) {
   return h;
 }
 
-std::string digestHex(std::uint64_t lo, std::uint64_t hi) {
-  static const char* hex = "0123456789abcdef";
-  const std::uint64_t halves[2] = {lo, hi};
+std::string Digest::hex() const {
+  static const char* digits = "0123456789abcdef";
   std::string out;
   out.reserve(32);
-  for (std::uint64_t h : halves)
+  for (std::uint64_t lane : {lo, hi})
     for (int shift = 60; shift >= 0; shift -= 4)
-      out += hex[(h >> shift) & 0xF];
+      out += digits[(lane >> shift) & 0xF];
   return out;
 }
 
 std::string contentDigest(const std::string& key) {
-  return digestHex(fnv1a64(key), fnv1a64(key, kDigestSeed2));
+  return Digest{fnv1a64(key), fnv1a64(key, kDigestSeed2)}.hex();
+}
+
+namespace {
+
+/// murmur3's 64-bit finalizer: a bijection that mixes every input bit into
+/// every output bit.
+std::uint64_t fmix64(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdULL;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
+/// Folds `v` into both lanes, each through its own finalized chain.
+Digest fold(Digest d, std::uint64_t v) {
+  return {fmix64(d.lo ^ v), fmix64(d.hi ^ (v + kDigestSeed2))};
+}
+
+}  // namespace
+
+Digest partDigest(std::string_view part) {
+  return {fmix64(fnv1a64(part)), fmix64(fnv1a64(part, kDigestSeed2))};
+}
+
+Digest contextDigest(const Digest& partSum, std::size_t count,
+                     std::string_view space) {
+  return fold(fold(partSum, count), fnv1a64(space));
+}
+
+Digest recordDigest(const Digest& context, std::string_view probes) {
+  const Digest p = partDigest(probes);
+  return {fmix64(context.lo ^ p.lo), fmix64(context.hi ^ p.hi)};
 }
 
 }  // namespace formad::smt

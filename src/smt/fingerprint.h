@@ -15,9 +15,10 @@
 // out. Conjunction keys additionally sort their per-constraint parts —
 // the same canonicalization Solver::stackKey has always used.
 //
-// The 128-bit FNV digest is used only to NAME cache files; every persisted
-// entry carries its full key and is verified byte-for-byte on load, so a
-// digest collision costs a cache miss, never a wrong verdict.
+// Digests (`Digest`) name store records and pick their table slots; they
+// never stand in for a key. Every store record is verified in full on a
+// hit — its context's canonical key once per context, its probe keys on
+// every hit — so a digest collision costs a miss, never a wrong verdict.
 #pragma once
 
 #include <cstdint>
@@ -60,22 +61,51 @@ class Fingerprinter {
 [[nodiscard]] std::string conjunctionKey(std::vector<std::string> parts);
 
 /// 64-bit FNV-1a over `s`, folding `seed` in first (two seeds give the
-/// independent halves of the 128-bit digest). FNV-1a is a left fold over
-/// bytes, so `fnv1a64(b, fnv1a64(a))` == `fnv1a64(a + b)` — callers that
-/// share a long key prefix can digest it once and resume per suffix.
+/// independent lanes of a 128-bit digest).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view s,
                                     std::uint64_t seed = 0xcbf29ce484222325ULL);
 
-/// Seed of the second digest half; the first half uses fnv1a64's default
+/// Seed of the second digest lane; the first lane uses fnv1a64's default
 /// seed (the FNV offset basis).
 inline constexpr std::uint64_t kDigestSeed2 = 0x9e3779b97f4a7c15ULL;
 
-/// Renders two precomputed FNV halves as the 32-lowercase-hex digest —
-/// `digestHex(fnv1a64(k), fnv1a64(k, kDigestSeed2))` == `contentDigest(k)`.
-[[nodiscard]] std::string digestHex(std::uint64_t lo, std::uint64_t hi);
-
-/// 32 lowercase hex chars naming `key` on disk (two independently seeded
-/// FNV-1a halves). Collisions are tolerated by full-key verification.
+/// 32 lowercase hex chars of `key`'s two independently seeded FNV-1a
+/// lanes: the context fingerprints of core::contextFingerprints.
 [[nodiscard]] std::string contentDigest(const std::string& key);
+
+/// A 128-bit digest as two 64-bit lanes. Lanes of part digests add, so a
+/// sum over a conjunction's parts is order-independent and follows an
+/// assertion stack in O(1) per add or pop.
+struct Digest {
+  std::uint64_t lo = 0, hi = 0;
+
+  friend bool operator==(const Digest&, const Digest&) = default;
+  Digest& operator+=(const Digest& o) {
+    lo += o.lo;
+    hi += o.hi;
+    return *this;
+  }
+  /// The two lanes as 32 lowercase hex chars, `lo` first: the name of a
+  /// store file.
+  [[nodiscard]] std::string hex() const;
+};
+
+/// The digest of one key part: each FNV-1a lane passed through murmur3's
+/// 64-bit finalizer. FNV-1a ends in a multiply, which is linear, so raw
+/// lanes of parts that differ in one low bit can cancel in a sum (the
+/// parts `+140380`/`-140380` and `+140381`/`-140381` do, in both lanes);
+/// the finalizer mixes every input bit into every output bit first.
+[[nodiscard]] Digest partDigest(std::string_view part);
+
+/// The digest of a context, a conjunction given by the sum of its
+/// `count` parts' partDigests, in the key space named by `space` (see
+/// smt::keySpace): what the verdict store's context table is keyed by.
+[[nodiscard]] Digest contextDigest(const Digest& partSum, std::size_t count,
+                                   std::string_view space);
+
+/// The digest of one store record: its context's digest followed by the
+/// record's own probe key.
+[[nodiscard]] Digest recordDigest(const Digest& context,
+                                  std::string_view probes);
 
 }  // namespace formad::smt

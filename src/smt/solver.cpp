@@ -20,11 +20,29 @@ std::string to_string(CheckResult r) {
   return "?";
 }
 
+std::string keySpace(FastPathMode mode, std::uint64_t absintSalt) {
+  std::string space;
+  if (mode != FastPathMode::Full) {
+    space += "fastpath:";
+    space += to_string(mode);
+    space += ';';
+  }
+  if (absintSalt != 0) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "absint:%016llx;",
+                  static_cast<unsigned long long>(absintSalt));
+    space += buf;
+  }
+  return space;
+}
+
 void Solver::reset() {
   stack_.clear();
   sortedKeys_.clear();
   keySlots_.clear();
   marks_.clear();
+  entryIds_.clear();
+  prefixSums_.clear();
   owner_ = std::thread::id{};
 }
 
@@ -47,6 +65,12 @@ void Solver::add(Constraint c) {
 
 void Solver::add(Constraint c, std::string key) {
   requireOwner();
+  if (store_ != nullptr) {
+    Digest sum = prefixSums_.empty() ? Digest{} : prefixSums_.back();
+    sum += partDigest(key);
+    prefixSums_.push_back(sum);
+    entryIds_.push_back(nextEntryId_++);
+  }
   const auto at =
       std::upper_bound(sortedKeys_.begin(), sortedKeys_.end(), key);
   keySlots_.push_back(static_cast<size_t>(at - sortedKeys_.begin()));
@@ -71,38 +95,73 @@ void Solver::pop() {
     sortedKeys_.erase(sortedKeys_.begin() +
                       static_cast<std::ptrdiff_t>(keySlots_[k]));
   keySlots_.resize(mark);
+  if (store_ != nullptr) {
+    entryIds_.resize(mark);
+    prefixSums_.resize(mark);
+  }
   stack_.resize(mark);
   marks_.pop_back();
 }
 
 std::string Solver::stackKey() const {
   // A conjunction is order-independent; the sorted order makes stacks that
-  // assert the same constraints in different orders share a cache entry.
-  // The per-constraint keys were derived and placed once at add() time.
-  size_t bytes = 64;  // room for the key-space prefixes
+  // assert the same constraints in different orders share one key. The
+  // per-constraint keys were derived and placed once at add() time.
+  std::string key = keySpace(fastMode_, hints_ != nullptr ? hints_->salt : 0);
+  size_t bytes = key.size();
   for (const auto& p : sortedKeys_) bytes += p.size() + 1;
-  std::string key;
   key.reserve(bytes);
-  // Verdicts carry the decision tier, and the available deciders differ
-  // by fast-path mode and under -absint — prefixing both keeps each
-  // setting's key space (and hence the store's records) disjoint. Full
-  // mode, the analyses' default, adds no prefix.
-  if (fastMode_ != FastPathMode::Full) {
-    key += "fastpath:";
-    key += to_string(fastMode_);
-    key += ';';
-  }
-  if (hints_ != nullptr && hints_->salt != 0) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "absint:%016llx;",
-                  static_cast<unsigned long long>(hints_->salt));
-    key += buf;
-  }
   for (const auto& p : sortedKeys_) {
     key += p;
     key += ';';
   }
   return key;
+}
+
+RecordKey Solver::checkKey() {
+  const size_t n = stack_.size();
+  const size_t mark = marks_.empty() ? n : marks_.back();
+  // Where the innermost scope's keys sit in sortedKeys_ now: each entry
+  // went in at its recorded slot, and since then only the scope's later
+  // entries (the newest) were inserted, each moving it on by one when
+  // inserted at or before it.
+  scopeSlots_.clear();
+  for (size_t j = mark; j < n; ++j) {
+    size_t at = keySlots_[j];
+    for (size_t k = j + 1; k < n; ++k)
+      if (keySlots_[k] <= at) ++at;
+    scopeSlots_.push_back(at);
+  }
+  std::sort(scopeSlots_.begin(), scopeSlots_.end());
+  const unsigned long long id = mark == 0 ? 0 : entryIds_[mark - 1];
+  if (id != contextId_) {
+    // A new prefix: build its canonical key — the sorted keys minus the
+    // scope's, behind the key-space tag — and open it once.
+    const std::string space =
+        keySpace(fastMode_, hints_ != nullptr ? hints_->salt : 0);
+    std::string key = space;
+    size_t bytes = key.size();
+    for (const auto& p : sortedKeys_) bytes += p.size() + 1;
+    key.reserve(bytes);
+    size_t skip = 0;
+    for (size_t k = 0; k < sortedKeys_.size(); ++k) {
+      if (skip < scopeSlots_.size() && scopeSlots_[skip] == k) {
+        ++skip;
+        continue;
+      }
+      key += sortedKeys_[k];
+      key += ';';
+    }
+    const Digest sum = mark == 0 ? Digest{} : prefixSums_[mark - 1];
+    context_ = store_->openContext(contextDigest(sum, mark, space), key);
+    contextId_ = id;
+  }
+  probeKey_.clear();
+  for (size_t at : scopeSlots_) {
+    probeKey_ += sortedKeys_[at];
+    probeKey_ += ';';
+  }
+  return {context_, probeKey_, recordDigest(context_.digest(), probeKey_)};
 }
 
 CheckResult Solver::check() {
@@ -131,7 +190,7 @@ CheckResult Solver::check() {
   // freshSolverChecks = checks - cacheHits meaningful under dedup; and if
   // decide() unwinds (cancellation, deadline, injected fault), the claim's
   // destructor unclaims so a joiner recomputes instead of hanging.
-  const std::string key = stackKey();
+  const RecordKey key = checkKey();
   std::optional<VerdictRecord> served = store_->loadCheck(key, stepLimit_);
   PersistentVerdictStore::FlightClaim claim;
   if (!served) {
@@ -146,7 +205,7 @@ CheckResult Solver::check() {
     return last_.result;
   }
   last_ = decide();
-  store_->storeCheck(key, last_);
+  store_->storeCheck(key, last_, persistChecks_);
   return last_.result;
 }
 

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -128,6 +129,34 @@ struct CheckPolicy {
   }
 };
 
+/// The key-space tag that opens a verdict-store context key: the fast-path
+/// mode unless it is Full, then the absint salt unless it is 0. Recorded
+/// tiers depend on both, so each setting keys its own contexts and hence
+/// its own records; the defaults add nothing.
+[[nodiscard]] std::string keySpace(FastPathMode mode, std::uint64_t absintSalt);
+
+/// A context (the conjunction below a record's probes) as a verdict store
+/// opened it (PersistentVerdictStore::openContext): its digest, and
+/// whether the store found the caller's canonical key to be the one it
+/// holds under that digest. Records are served and stored only through a
+/// verified context; a default-constructed handle is unverified, so every
+/// lookup through it misses.
+class ContextHandle {
+ public:
+  ContextHandle() = default;
+  [[nodiscard]] const Digest& digest() const { return digest_; }
+  [[nodiscard]] bool verified() const { return verified_; }
+
+ private:
+  friend class PersistentVerdictStore;
+  ContextHandle(const Digest& digest, bool verified)
+      : digest_(digest), verified_(verified) {}
+  Digest digest_;
+  bool verified_ = false;
+};
+
+struct RecordKey;
+
 /// A decided verdict plus its provenance: the one record of one solver
 /// check. Solver::lastCheck() exposes it, the verdict store keeps one per
 /// conjunction in memory and on disk, and a task record is the list of
@@ -184,10 +213,14 @@ class Solver {
   /// solving; a fired token unwinds the in-flight check as
   /// support::Cancelled, a liveness mechanism only, never a verdict (see
   /// support/cancel.h). The deadline is the caller's to arm on `cancel`.
+  /// With `persistChecks` false, the store keeps this solver's check
+  /// records in memory only: the scheduler's workers pass it, as the task
+  /// record each of their checks belongs to carries the check to disk.
   Solver(AtomTable& atoms, const CheckPolicy& checks,
-         const support::CancelToken* cancel)
+         const support::CancelToken* cancel, bool persistChecks = true)
       : atoms_(atoms),
         store_(checks.servingStore()),
+        persistChecks_(persistChecks),
         fastMode_(checks.fastpath),
         stepLimit_(checks.stepBudget),
         cancel_(cancel),
@@ -205,10 +238,11 @@ class Solver {
   void pop();
 
   /// Decides the current conjunction. With a serving store (see
-  /// CheckPolicy::servingStore), the canonical stack key is looked up
-  /// first, then claimed so concurrent duplicates join one solve, then
-  /// decided and stored; without one, every check is decided afresh and
-  /// no key is built. A check that runs out of its step budget returns
+  /// CheckPolicy::servingStore), the check's record (its context plus the
+  /// keys of the innermost push scope, see checkKey) is looked up first,
+  /// then claimed so concurrent duplicates join one solve, then decided
+  /// and stored; without one, every check is decided afresh and no key is
+  /// built. A check that runs out of its step budget returns
   /// Unknown, and lastCheck() records it as incomplete. Within one solve,
   /// each Ne constraint is reduced against the equality system once and
   /// the residue reused by every later pass.
@@ -257,10 +291,14 @@ class Solver {
   /// Attaches the abstract interpreter's per-variable facts (nullptr =
   /// off, the default). While attached with a nonzero salt, the tiered
   /// fast path additionally runs the "t1-absint" witness decider, and
-  /// stackKey() is prefixed with the salt — verdicts (whose recorded tier
-  /// depends on the deciders available) computed under different -absint
-  /// settings can then never be served across settings. Survives reset().
-  void setAbsintHints(const AbsintHints* hints) { hints_ = hints; }
+  /// stackKey() and every store context carry the salt (keySpace) —
+  /// verdicts (whose recorded tier depends on the deciders available)
+  /// computed under different -absint settings can then never be served
+  /// across settings. Survives reset().
+  void setAbsintHints(const AbsintHints* hints) {
+    hints_ = hints;
+    contextId_ = kNoContext;
+  }
   [[nodiscard]] const AbsintHints* absintHints() const { return hints_; }
 
   /// The record of the most recent check(): the record a decided check
@@ -288,12 +326,11 @@ class Solver {
 
   /// Canonical fingerprint of the current conjunction: per-constraint keys,
   /// sorted (a conjunction is order-independent) and joined — byte-equal
-  /// to conjunctionKey() of the live keys, behind the key-space prefixes:
-  /// the fast-path mode unless it is Full, then the absint salt. Recorded
-  /// tiers depend on both, so each setting gets its own key space. Covers
-  /// the whole live stack including open push/pop scopes, so cached
-  /// verdicts can never leak across scopes. The keys are kept sorted as
-  /// constraints come and go, so this only concatenates.
+  /// to conjunctionKey() of the live keys, behind the keySpace tag. Covers
+  /// the whole live stack including open push/pop scopes. The keys are
+  /// kept sorted as constraints come and go, so this only concatenates.
+  /// check() does not build it: a store keys a check by its context and
+  /// its innermost scope instead (checkKey).
   [[nodiscard]] std::string stackKey() const;
 
  private:
@@ -302,6 +339,12 @@ class Solver {
   /// fast-path decision needs no steps, a full solve records the steps it
   /// used, and a solve that runs out records the step limit it ran out at.
   [[nodiscard]] VerdictRecord decide();
+  /// The store address of the current check: its context is the stack
+  /// below the innermost open push scope (the whole stack when none is
+  /// open), its probe key the innermost scope's keys, sorted and joined.
+  /// The context is opened in the store once per distinct prefix; the
+  /// record costs O(probe keys) per check, whatever the stack's size.
+  [[nodiscard]] RecordKey checkKey();
   [[nodiscard]] CheckResult solve();
   /// model() body; runs under the armed step budget (StepLimitReached is
   /// caught by the wrapper and rendered as "no witness found").
@@ -328,7 +371,23 @@ class Solver {
   /// at the recorded index undoes it.
   std::vector<size_t> keySlots_;
   std::vector<size_t> marks_;
+  /// With a serving store only, per stack_ entry: an id no other entry of
+  /// this solver ever gets, and the sum of the partDigests of the keys of
+  /// entries 0..k. The stack is LIFO, so the id of a prefix's last entry
+  /// changes whenever anything in the prefix does, and its sum digests the
+  /// prefix in O(1).
+  std::vector<unsigned long long> entryIds_;
+  std::vector<Digest> prefixSums_;
+  unsigned long long nextEntryId_ = 1;
+  /// The context last opened by checkKey: the id of its prefix's last
+  /// entry (0 = the empty prefix), and the store's handle for it.
+  static constexpr unsigned long long kNoContext = ~0ULL;
+  unsigned long long contextId_ = kNoContext;
+  ContextHandle context_;
+  std::string probeKey_;           // checkKey's buffers, reused per check
+  std::vector<size_t> scopeSlots_;
   PersistentVerdictStore* const store_;
+  const bool persistChecks_;
   std::thread::id owner_{};
   const FastPathMode fastMode_;
   const long long stepLimit_;  // per-check; <= 0 = unlimited

@@ -50,6 +50,14 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 }  // namespace
 
+smt::RecordKey recordKey(smt::PersistentVerdictStore& store,
+                         const std::string& context,
+                         const std::string& probes) {
+  const smt::ContextHandle ctx = store.openContext(
+      smt::contextDigest(smt::partDigest(context), 1, ""), context);
+  return {ctx, probes, smt::recordDigest(ctx.digest(), probes)};
+}
+
 std::map<std::string, std::vector<double>> runPrimal(const Harness& h) {
   auto kernel = h.parse();
   Executor ex(*kernel);

@@ -14,9 +14,18 @@
 #include "ir/kernel.h"
 #include "kernels/spec.h"
 #include "parser/parser.h"
+#include "smt/diskcache.h"
 #include "smt/solver.h"
 
 namespace formad::testing {
+
+/// The store address of a record whose probe key is `probes`, under the
+/// context whose canonical key is `context`, opened in `store`; both
+/// digests derived as Solver and the scheduler derive them. Both strings
+/// must outlive the key.
+smt::RecordKey recordKey(smt::PersistentVerdictStore& store,
+                         const std::string& context,
+                         const std::string& probes);
 
 /// A kernel under test: spec + a binder that fills Inputs deterministically
 /// from a seed (fresh state on every call).

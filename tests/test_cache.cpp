@@ -275,9 +275,9 @@ TEST(PersistentCache, TamperedTaskRecordsCostAMiss) {
     cold.checks.store = &store;
     (void)analyzeSource(gather7, ind, dep, cold);
   }
-  // Each task file as the cold run wrote it: its header (magic, key length,
-  // key) and its payload. A key is the kind tag ("C|" or "P|"), the base
-  // conjunction, then '|' and each probe.
+  // Each task file as the cold run wrote it: its header (magic, context
+  // digest, key length, key) and its payload. A key is the kind tag ("C"
+  // or "P"), then '|' and each probe.
   struct TaskFile {
     fs::path path;
     std::string header, payload;
@@ -289,11 +289,12 @@ TEST(PersistentCache, TamperedTaskRecordsCostAMiss) {
     if (e.path().filename().string()[0] != 't') continue;
     std::ifstream in(e.path(), std::ios::binary);
     const std::string bytes(std::istreambuf_iterator<char>(in), {});
-    const size_t keyAt = bytes.find('\n', bytes.find('\n') + 1) + 1;
+    size_t keyAt = 0;
+    for (int line = 0; line < 3; ++line) keyAt = bytes.find('\n', keyAt) + 1;
     const size_t end = bytes.find('\n', keyAt) + 1;
     const std::string key = bytes.substr(keyAt, end - 1 - keyAt);
     files.push_back({e.path(), bytes.substr(0, end), bytes.substr(end),
-                     key[0], std::count(key.begin(), key.end(), '|') - 1});
+                     key[0], std::count(key.begin(), key.end(), '|')});
   }
 
   std::string longWalk = "task 2000\n";
@@ -339,6 +340,57 @@ TEST(PersistentCache, TamperedTaskRecordsCostAMiss) {
       }
     }
   }
+}
+
+// Kernels one apart in a constant have distinct base contexts, so over one
+// directory each keeps its own task records: the 4097 edit adds a file for
+// every task it persists instead of overwriting 4096's, and re-analyzing
+// 4096 splices all of its tasks. Part digests summed without mixing made
+// both kernels' bases one digest: the third run spliced 5 of 8 tasks.
+TEST(PersistentCache, EditsOneConstantApartKeepTheirOwnRecords) {
+  const auto gather = [](int offset) {
+    const std::string off = std::to_string(offset);
+    return "kernel gather_edit" + off +
+           "(n: int in, x: real[] in, y: real[] inout) {\n"
+           "  parallel for i = 0 : n - 1 : " +
+           std::to_string(offset + 1) +
+           " shared(y, x) {\n"
+           "    y[i] += 0.5 * x[i + " + off + "];\n"
+           "    y[i + " + off + "] += 0.5 * x[i];\n"
+           "  }\n"
+           "}\n";
+  };
+  const std::vector<std::string> ind{"x"}, dep{"y"};
+  TempDir dir("edits");
+  fs::create_directories(dir.path);
+  const auto filesOf = [&](char kind) {
+    long n = 0;
+    for (const auto& e : fs::directory_iterator(dir.path))
+      n += e.path().filename().string()[0] == kind;
+    return n;
+  };
+  // Each run opens a fresh store over the directory, as the CLI does.
+  const auto run = [&](int offset) {
+    smt::PersistentVerdictStore store(dir.path.string());
+    driver::DriverOptions opts;
+    opts.analysisThreads = 1;
+    opts.checks.store = &store;
+    return analyzeSource(gather(offset), ind, dep, opts);
+  };
+  for (int offset : {4096, 4097}) {
+    SCOPED_TRACE(offset);
+    const long before = filesOf('t');
+    const auto a = run(offset);
+    EXPECT_GT(a.analysis.tasksPersisted(), 0);
+    EXPECT_EQ(filesOf('t'), before + a.analysis.tasksPersisted());
+  }
+  // Each task file carries its checks' records, so the scheduler writes
+  // no check file of its own.
+  EXPECT_EQ(filesOf('c'), 0);
+  const auto again = run(4096);
+  EXPECT_EQ(again.analysis.tasksSpliced(), 8);
+  EXPECT_EQ(again.analysis.tasksPersisted(), 0);
+  EXPECT_EQ(again.analysis.freshSolverChecks(), 0);
 }
 
 // Without a store the analysis must be byte-identical to the seed

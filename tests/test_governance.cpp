@@ -176,8 +176,16 @@ TEST(VerdictStoreBudget, ExhaustedRecordNeverPoisonsLargerBudget) {
   // 2, incomplete, exhausted at the step limit.
   const smt::VerdictRecord exhausted{smt::CheckResult::Unknown, 2, false, 1};
   EXPECT_EQ(starved.lastCheck(), exhausted);
-  EXPECT_EQ(store.loadCheck(starved.stackKey(), 1), exhausted);
   EXPECT_EQ(starved.stats().budgetExhausted, 1);
+  // The store keeps that record: a twin under the same budget is served
+  // it.
+  {
+    smt::Solver twin(atoms, oneStep, nullptr);
+    addChain(twin, v);
+    EXPECT_EQ(twin.check(), smt::CheckResult::Unknown);
+    EXPECT_EQ(twin.stats().cacheHits, 1);
+    EXPECT_EQ(twin.lastCheck(), exhausted);
+  }
 
   // Unlimited solver over the same store and conjunction: the exhausted
   // record is budget-insufficient, so it re-derives the real verdict.
@@ -186,7 +194,6 @@ TEST(VerdictStoreBudget, ExhaustedRecordNeverPoisonsLargerBudget) {
   EXPECT_EQ(full.check(), smt::CheckResult::Unsat);
   EXPECT_TRUE(full.lastCheck().complete);
   EXPECT_GT(full.lastCheck().steps, 1);
-  EXPECT_EQ(store.loadCheck(full.stackKey(), 0), full.lastCheck());
 
   // A second starved solver cannot use the upgraded complete verdict, so
   // it derives the same exhaustion record, and a second unlimited solver

@@ -619,35 +619,36 @@ TEST(ServerStress, EightRacingSessionsDoOneColdRunOfFreshWork) {
 }
 
 TEST(ServerStress, FaultedWinnerNeverWedgesOrPoisonsRacingRequests) {
-  // Large enough that a cold analysis outlasts the 1 ms deadline, even on
-  // a loaded machine where a session may start late.
-  const kernels::KernelSpec spec = kernels::stencilSpec(20);
-  const std::string clean = analyzeFrame(spec);
-  const std::string throwFault =
-      analyzeFrame(spec, R"({"fault_throw_at":2})");
-  // Unlike a fault (which detaches the store), a 1ms deadline cancels a
-  // request that holds REAL single-flight claims mid-evaluation: its
-  // claims must unwind so concurrent duplicates get promoted and
-  // recompute — never hang, never inherit partial work.
-  const std::string starved = analyzeFrame(spec, R"({"deadline_ms":1})");
-
-  std::string reference;
-  {
-    ServeOptions opts;
-    opts.sessions = 1;
-    AnalysisServer daemon(opts);
-    reference = deterministicPart(daemon.process(clean));
-  }
-
   // Race clean analyses against mid-flight-failing duplicates of the same
-  // kernel, repeatedly on one daemon: every clean response must match the
-  // reference (the failed request's partial work never surfaces), every
-  // faulted one must come back a typed error — promptly, never a hang.
+  // kernel on one daemon: every clean response must match the reference
+  // (the failed request's partial work never surfaces), every faulted one
+  // must come back a typed error — promptly, never a hang. Each round
+  // races a kernel no earlier round analyzed, so every round is cold: a
+  // warm store serves a whole analysis before any deadline can fire. The
+  // kernels are large enough that a cold analysis outlasts the 1 ms
+  // deadline, even on a loaded machine where a session may start late.
   ServeOptions opts;
   opts.sessions = 8;
   AnalysisServer daemon(opts);
   int deadlineDegraded = 0;
   for (int round = 0; round < 3; ++round) {
+    const kernels::KernelSpec spec = kernels::stencilSpec(20 + round);
+    const std::string clean = analyzeFrame(spec);
+    const std::string throwFault =
+        analyzeFrame(spec, R"({"fault_throw_at":2})");
+    // Unlike a fault (which detaches the store), a 1ms deadline cancels a
+    // request that holds REAL single-flight claims mid-evaluation: its
+    // claims must unwind so concurrent duplicates get promoted and
+    // recompute — never hang, never inherit partial work.
+    const std::string starved = analyzeFrame(spec, R"({"deadline_ms":1})");
+    std::string reference;
+    {
+      ServeOptions one;
+      one.sessions = 1;
+      AnalysisServer single(one);
+      reference = deterministicPart(single.process(clean));
+    }
+
     std::vector<std::string> lines(8);
     std::vector<std::thread> clients;
     for (size_t c = 0; c < lines.size(); ++c)

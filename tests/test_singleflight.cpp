@@ -20,6 +20,7 @@
 
 #include "driver/driver.h"
 #include "formad/formad.h"
+#include "helpers.h"
 #include "kernels/stencil.h"
 #include "parser/parser.h"
 #include "smt/diskcache.h"
@@ -134,6 +135,9 @@ TEST(SharedPool, ConcurrentClientsAllCompleteAndShareWorkers) {
 // ---------------------------------------------------------------------------
 // Single flight, store level.
 
+/// The context every store-level record below sits under.
+const std::string kBase = "!1*i#0'+-1*i#0+0;";
+
 smt::VerdictRecord unsatEntry() {
   smt::VerdictRecord e;
   e.result = smt::CheckResult::Unsat;
@@ -145,7 +149,8 @@ smt::VerdictRecord unsatEntry() {
 
 TEST(SingleFlight, JoinerIsServedTheWinnersPublishedVerdict) {
   smt::PersistentVerdictStore store("");
-  const std::string key = "conj|a=b";
+  const std::string probes = "conj|a=b";
+  const smt::RecordKey key = formad::testing::recordKey(store, kBase, probes);
 
   auto winner = store.claimCheck(key, 0, nullptr);
   ASSERT_FALSE(winner.served.has_value());
@@ -174,7 +179,8 @@ TEST(SingleFlight, JoinerIsServedTheWinnersPublishedVerdict) {
 
 TEST(SingleFlight, FailedWinnerUnclaimsAndAJoinerRecomputes) {
   smt::PersistentVerdictStore store("");
-  const std::string key = "conj|fails";
+  const std::string probes = "conj|fails";
+  const smt::RecordKey key = formad::testing::recordKey(store, kBase, probes);
 
   std::optional<smt::PersistentVerdictStore::CheckClaim> winner(
       store.claimCheck(key, 0, nullptr));
@@ -204,7 +210,8 @@ TEST(SingleFlight, FailedWinnerUnclaimsAndAJoinerRecomputes) {
 
 TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
   smt::PersistentVerdictStore store("");
-  const std::string key = "conj|starved";
+  const std::string probes = "conj|starved";
+  const smt::RecordKey key = formad::testing::recordKey(store, kBase, probes);
 
   auto winner = store.claimCheck(key, /*stepLimit=*/5, nullptr);
   ASSERT_TRUE(winner.claim.owned());
@@ -235,7 +242,8 @@ TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
 
 TEST(SingleFlight, WaitingJoinerHonorsCancellation) {
   smt::PersistentVerdictStore store("");
-  const std::string key = "conj|stalled";
+  const std::string probes = "conj|stalled";
+  const smt::RecordKey key = formad::testing::recordKey(store, kBase, probes);
   auto winner = store.claimCheck(key, 0, nullptr);
   ASSERT_TRUE(winner.claim.owned());
 
@@ -251,8 +259,8 @@ TEST(SingleFlight, WaitingJoinerHonorsCancellation) {
 
 TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
   smt::PersistentVerdictStore store("");
-  const std::string key = "task|base+probes";
-  const std::string digest = "0123456789abcdef0123456789abcdef";
+  const std::string probes = "P|=1*q#0+0|=1*r#0+0";
+  const smt::RecordKey key = formad::testing::recordKey(store, kBase, probes);
 
   auto winner = store.claimTask(key, 0, nullptr);
   ASSERT_TRUE(winner.claim.owned());
@@ -269,7 +277,7 @@ TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
   const smt::PersistentVerdictStore::TaskRecord rec{
       {{smt::CheckResult::Sat, 2, true, 4},
        {smt::CheckResult::Unsat, 2, true, 9}}};
-  store.storeTask(key, rec, digest);
+  store.storeTask(key, rec);
 
   joiner.join();
   ASSERT_TRUE(joined.has_value());
@@ -283,12 +291,13 @@ TEST(SingleFlight, DroppedClaimLeavesNoMissBehind) {
   TempDir dir("dropped");
   smt::PersistentVerdictStore a(dir.path.string());
   smt::PersistentVerdictStore b(dir.path.string());
-  const std::string key = "conj|dropped";
+  const std::string probes = "conj|dropped";
+  const smt::RecordKey key = formad::testing::recordKey(a, kBase, probes);
   {
     auto dropped = a.claimCheck(key, 0, nullptr);
     ASSERT_TRUE(dropped.claim.owned());
   }
-  b.storeCheck(key, unsatEntry());
+  b.storeCheck(formad::testing::recordKey(b, kBase, probes), unsatEntry());
 
   const auto loaded = a.loadCheck(key, 0);
   ASSERT_TRUE(loaded.has_value());
@@ -305,7 +314,8 @@ TEST(SingleFlight, PublishBetweenLoadAndClaimServesTheClaim) {
   // Another solver publishes after this caller's load missed: the claim
   // must serve that record, taking no ownership it then has to drop.
   smt::PersistentVerdictStore store("");
-  const std::string key = "conj|raced";
+  const std::string probes = "conj|raced";
+  const smt::RecordKey key = formad::testing::recordKey(store, kBase, probes);
   ASSERT_FALSE(store.loadCheck(key, 0).has_value());
   store.storeCheck(key, unsatEntry());
 
